@@ -1,4 +1,4 @@
-"""Tour of the autodiff engine: gradients, double backprop, replay.
+"""Tour of the autodiff engine: gradients and double backprop.
 
 Run:  python demos/01_autodiff_and_double_backprop.py
 """
@@ -44,9 +44,3 @@ score = ad.tsum(ad.log_softmax(ad.affine(h, W2, b2), axis=-1))
 penalty = ad.tsum(ad.square(gx))
 (gW1_pen,) = ad.grad(penalty, [W1])
 print("dR/dW1 has shape", gW1_pen.data.shape, "and norm", float(np.linalg.norm(gW1_pen.data)))
-
-print("\n== replayable records ==")
-rec = ad.ComputationRecord([xt], [score])
-print("replay on the same input reproduces the value bit-for-bit:",
-      rec.forward([xv])[0] == score.item())
-print("replay on a fresh input:", rec.forward([rng.normal(size=(5, 4))])[0])

@@ -1,8 +1,7 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 The engine is define-by-run: calling an op executes it eagerly on numpy
-arrays and links the result :class:`Tensor` to its parents, so the graph
-hanging off any tensor doubles as the computation record. Every op's
+arrays and links the result :class:`Tensor` to its parents. Every op's
 vector-Jacobian product is itself expressed with these same ops, which
 makes the backward pass differentiable and gives second-order gradients
 (double backprop) for free via nested :func:`grad` calls.
@@ -56,16 +55,18 @@ class Tensor:
 
     ``op`` is the primitive name ('const' for leaves), ``parents`` the
     input tensors, ``aux`` the non-differentiable op arguments (axes,
-    shapes, index arrays, frozen masks) needed to replay the node.
+    shapes, index arrays, frozen masks) its vector-Jacobian product needs.
+    A tensor's array is read, never written, once the tensor exists.
     """
 
-    __slots__ = ("data", "op", "parents", "aux")
+    __slots__ = ("data", "op", "parents", "aux", "_transposed")
 
     def __init__(self, data, op: str = "const", parents: tuple = (), aux: tuple = ()):
         self.data = _as_array(data)
         self.op = op
         self.parents = parents
         self.aux = aux
+        self._transposed = None
 
     @property
     def shape(self):
@@ -80,25 +81,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
-
-    # Arithmetic sugar; keeps client code readable.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def tensor(value) -> Tensor:
@@ -170,20 +152,23 @@ def matmul(a, b) -> Tensor:
 
 
 def transpose(a) -> Tensor:
+    # every backward pass through a weight transposes it: keep one copy (an array; a node would form a cycle)
     a = _lift(a)
-    return Tensor(a.data.T.copy(), "transpose", (a,))
+    if a._transposed is None:
+        a._transposed = a.data.T.copy()
+    return Tensor(a._transposed, "transpose", (a,))
 
 
 def reshape(a, shape) -> Tensor:
     a = _lift(a)
     shape = tuple(int(s) for s in shape)
-    return Tensor(a.data.reshape(shape), "reshape", (a,), (shape,))
+    return Tensor(a.data.reshape(shape), "reshape", (a,))
 
 
 def broadcast_to(a, shape) -> Tensor:
     a = _lift(a)
     shape = tuple(int(s) for s in shape)
-    return Tensor(np.broadcast_to(a.data, shape).copy(), "broadcast_to", (a,), (shape,))
+    return Tensor(np.broadcast_to(a.data, shape).copy(), "broadcast_to", (a,))
 
 
 def relu(a) -> Tensor:
@@ -238,31 +223,33 @@ def scatter_rows(v, idx, width: int) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     out = np.zeros((v.shape[0], int(width)), dtype=np.float64)
     out[np.arange(v.shape[0]), idx] = v.data
-    return Tensor(out, "scatter_rows", (v,), (idx, int(width)))
+    return Tensor(out, "scatter_rows", (v,), (idx,))
 
 
+# One vector-Jacobian product per parent, so the reverse pass only
+# builds the cotangents of parents that lead to a requested tensor.
 _VJPS = {
-    "add": lambda t, g: (_unbroadcast(g, t.parents[0].shape), _unbroadcast(g, t.parents[1].shape)),
-    "mul": lambda t, g: (
-        _unbroadcast(mul(g, t.parents[1]), t.parents[0].shape),
-        _unbroadcast(mul(g, t.parents[0]), t.parents[1].shape),
+    "add": (lambda t, g: _unbroadcast(g, t.parents[0].shape), lambda t, g: _unbroadcast(g, t.parents[1].shape)),
+    "mul": (
+        lambda t, g: _unbroadcast(mul(g, t.parents[1]), t.parents[0].shape),
+        lambda t, g: _unbroadcast(mul(g, t.parents[0]), t.parents[1].shape),
     ),
-    "div": lambda t, g: (
-        _unbroadcast(div(g, t.parents[1]), t.parents[0].shape),
-        _unbroadcast(neg(div(mul(g, t), t.parents[1])), t.parents[1].shape),
+    "div": (
+        lambda t, g: _unbroadcast(div(g, t.parents[1]), t.parents[0].shape),
+        lambda t, g: _unbroadcast(neg(div(mul(g, t), t.parents[1])), t.parents[1].shape),
     ),
-    "neg": lambda t, g: (neg(g),),
-    "matmul": lambda t, g: (matmul(g, transpose(t.parents[1])), matmul(transpose(t.parents[0]), g)),
-    "transpose": lambda t, g: (transpose(g),),
-    "reshape": lambda t, g: (reshape(g, t.parents[0].shape),),
-    "broadcast_to": lambda t, g: (_unbroadcast(g, t.parents[0].shape),),
-    "relu": lambda t, g: (mul(g, Tensor(t.aux[0])),),
-    "absval": lambda t, g: (mul(g, Tensor(t.aux[0])),),
-    "exp": lambda t, g: (mul(g, t),),
-    "log": lambda t, g: (div(g, t.parents[0]),),
-    "sum": lambda t, g: (_sum_vjp(t, g),),
-    "gather_rows": lambda t, g: (scatter_rows(g, t.aux[0], t.parents[0].shape[1]),),
-    "scatter_rows": lambda t, g: (gather_rows(g, t.aux[0]),),
+    "neg": (lambda t, g: neg(g),),
+    "matmul": (lambda t, g: matmul(g, transpose(t.parents[1])), lambda t, g: matmul(transpose(t.parents[0]), g)),
+    "transpose": (lambda t, g: transpose(g),),
+    "reshape": (lambda t, g: reshape(g, t.parents[0].shape),),
+    "broadcast_to": (lambda t, g: _unbroadcast(g, t.parents[0].shape),),
+    "relu": (lambda t, g: mul(g, Tensor(t.aux[0])),),
+    "absval": (lambda t, g: mul(g, Tensor(t.aux[0])),),
+    "exp": (lambda t, g: mul(g, t),),
+    "log": (lambda t, g: div(g, t.parents[0]),),
+    "sum": (lambda t, g: _sum_vjp(t, g),),
+    "gather_rows": (lambda t, g: scatter_rows(g, t.aux[0], t.parents[0].shape[1]),),
+    "scatter_rows": (lambda t, g: gather_rows(g, t.aux[0]),),
 }
 
 
@@ -319,11 +306,6 @@ def cross_entropy(logits, labels, reduction: str = "mean") -> Tensor:
     if reduction == "mean":
         return div(tsum(nll), tensor(float(labels.shape[0])))
     raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def mean(a) -> Tensor:
-    a = _lift(a)
-    return div(tsum(a), tensor(float(a.size)))
 
 
 def square(a) -> Tensor:
@@ -387,80 +369,12 @@ def grad(output: Tensor, wrt, seed: Tensor | None = None) -> list[Tensor]:
             final[id(node)] = g
         if not node.parents or not any(id(p) in needed for p in node.parents):
             continue
-        parent_grads = _VJPS[node.op](node, g)
-        for parent, pg in zip(node.parents, parent_grads):
+        for parent, vjp in zip(node.parents, _VJPS[node.op]):
             if id(parent) not in needed:
                 continue
+            pg = vjp(node, g)
             prev = cotangent.get(id(parent))
             cotangent[id(parent)] = pg if prev is None else add(prev, pg)
 
-    return [final.get(id(w), Tensor(np.zeros_like(w.data))) for w in wrt]
+    return [final[id(w)] if id(w) in final else Tensor(np.zeros_like(w.data)) for w in wrt]
 
-
-# ---------------------------------------------------------------------------
-# replayable record
-
-_REPLAY = {
-    "add": lambda vals, aux: vals[0] + vals[1],
-    "mul": lambda vals, aux: vals[0] * vals[1],
-    "div": lambda vals, aux: vals[0] / vals[1],
-    "neg": lambda vals, aux: -vals[0],
-    "matmul": lambda vals, aux: vals[0] @ vals[1],
-    "transpose": lambda vals, aux: vals[0].T.copy(),
-    "reshape": lambda vals, aux: vals[0].reshape(aux[0]),
-    "broadcast_to": lambda vals, aux: np.broadcast_to(vals[0], aux[0]).copy(),
-    "relu": lambda vals, aux: np.maximum(vals[0], 0.0),
-    "absval": lambda vals, aux: np.abs(vals[0]),
-    "exp": lambda vals, aux: np.exp(vals[0]),
-    "log": lambda vals, aux: np.log(vals[0]),
-    "sum": lambda vals, aux: np.asarray(np.sum(vals[0], axis=aux[0], keepdims=aux[1]), dtype=np.float64),
-    "gather_rows": lambda vals, aux: vals[0][np.arange(vals[0].shape[0]), aux[0]],
-    "scatter_rows": lambda vals, aux: _replay_scatter(vals[0], aux),
-}
-
-
-def _replay_scatter(v, aux):
-    idx, width = aux
-    out = np.zeros((v.shape[0], width), dtype=np.float64)
-    out[np.arange(v.shape[0]), idx] = v
-    return out
-
-
-class ComputationRecord:
-    """Topologically ordered trace of primitive ops, replayable on new inputs.
-
-    ``inputs`` designates the leaf tensors that may be rebound on
-    replay; every other leaf (weights captured as constants, frozen
-    relu masks, detached shifts) keeps its recorded value. Replaying
-    with the original input arrays reproduces the recorded outputs
-    bit for bit.
-    """
-
-    def __init__(self, inputs: list[Tensor], outputs: list[Tensor]):
-        self.inputs = list(inputs)
-        self.outputs = list(outputs)
-        self.nodes = _topo(self.outputs)
-        input_ids = {id(t) for t in self.inputs}
-        for node in self.nodes:
-            if node.parents and id(node) in input_ids:
-                raise ValueError("designated inputs must be leaf tensors")
-
-    def forward(self, input_arrays: list[np.ndarray]) -> list[np.ndarray]:
-        """Re-execute the record with the designated inputs bound to new arrays."""
-        if len(input_arrays) != len(self.inputs):
-            raise ShapeError(f"record expects {len(self.inputs)} inputs")
-        vals: dict[int, np.ndarray] = {}
-        for slot, arr in zip(self.inputs, input_arrays):
-            arr = _as_array(arr)
-            if arr.shape != slot.shape:
-                raise ShapeError(f"input shape {arr.shape} != recorded {slot.shape}")
-            vals[id(slot)] = arr
-        for node in self.nodes:
-            if id(node) in vals:
-                continue
-            if not node.parents:
-                vals[id(node)] = node.data
-                continue
-            args = [vals[id(p)] for p in node.parents]
-            vals[id(node)] = _checked(_REPLAY[node.op](args, node.aux), node.op)
-        return [vals[id(t)] for t in self.outputs]

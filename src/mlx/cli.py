@@ -120,8 +120,8 @@ def _train_once(cfg: dict, out: Path, seed: int):
     tcfg = cfgmod.training_config(cfg, seed)
     hidden = tuple(cfg.get("model", {}).get("hidden", (32, 32)))
     spec = MlpSpec(splits.train.x.shape[1], hidden, int(splits.train.y.max()) + 1)
-    params, history = run_training(splits, tcfg, spec=spec)
-    return splits, params, history
+    result = run_training(splits, tcfg, spec=spec)
+    return splits, result.params, result.history
 
 
 def cmd_train(cfg: dict, args) -> int:

@@ -136,9 +136,6 @@ def training_config(cfg: dict, seed: int) -> TrainingConfig:
     block = dict(cfg.get("training", {}))
     pblock = dict(block.pop("perturb", {}))
     clamp = block.pop("clamp", None)
-    method = block.get("method", "erm")
-    if method in ("avg-ex",):
-        pblock.setdefault("method", "avg")
     perturb = PerturbConfig(**pblock)
     return TrainingConfig(
         perturb=perturb,

@@ -69,15 +69,6 @@ DECOY_COLORS = np.array(
 )
 
 
-@dataclass(frozen=True)
-class MaskedExample:
-    """Input vector, class label, and binary irrelevance mask."""
-
-    x: np.ndarray
-    y: int
-    m: np.ndarray
-
-
 @dataclass
 class Split:
     x: np.ndarray  # (n, d) float64
@@ -87,9 +78,6 @@ class Split:
 
     def __len__(self):
         return self.x.shape[0]
-
-    def example(self, i: int) -> MaskedExample:
-        return MaskedExample(self.x[i], int(self.y[i]), self.m[i])
 
 
 @dataclass
@@ -270,8 +258,9 @@ def ensure_digit_corpus(data_dir, seed: int = 0, n_train: int = 16000, n_test: i
     """Locate a digit corpus as IDX files under ``data_dir``.
 
     Real files (train-images-idx3-ubyte etc.) win if present; otherwise a
-    synthetic corpus is rendered once and written in the same format.
-    Returns the four paths.
+    synthetic corpus is rendered once per seed and size and written in the
+    same format, under file names that carry all three. Returns the four
+    paths.
     """
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
@@ -284,10 +273,10 @@ def ensure_digit_corpus(data_dir, seed: int = 0, n_train: int = 16000, n_test: i
     if all(p.exists() for p in real.values()):
         return {k: str(v) for k, v in real.items()}
     synth = {
-        "train_images": data_dir / f"synth-train-images-idx3-ubyte-s{seed}",
-        "train_labels": data_dir / f"synth-train-labels-idx1-ubyte-s{seed}",
-        "test_images": data_dir / f"synth-test-images-idx3-ubyte-s{seed}",
-        "test_labels": data_dir / f"synth-test-labels-idx1-ubyte-s{seed}",
+        "train_images": data_dir / f"synth-train-images-idx3-ubyte-s{seed}-n{n_train}",
+        "train_labels": data_dir / f"synth-train-labels-idx1-ubyte-s{seed}-n{n_train}",
+        "test_images": data_dir / f"synth-test-images-idx3-ubyte-s{seed}-n{n_test}",
+        "test_labels": data_dir / f"synth-test-labels-idx1-ubyte-s{seed}-n{n_test}",
     }
     if not all(p.exists() for p in synth.values()):
         tr_img, tr_lab = synth_digits(n_train, seed)

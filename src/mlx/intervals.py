@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .model import ModelParams, logits_graph, param_tensors
+from .model import ModelParams
 
 
 @dataclass
@@ -125,13 +125,3 @@ def worst_case_loss_graph(
     z_wc = worst_case_logits_graph(lower, upper, y)
     return ad.cross_entropy(z_wc, y, reduction="sum")
 
-
-def ibp_loss(
-    params: ModelParams, x, y, m, kappa: float, alpha: float, clamp: tuple[float, float] | None = None
-) -> float:
-    """Nominal loss plus alpha times the worst-case-logit loss; scalar value."""
-    pt = param_tensors(params)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    nominal = ad.cross_entropy(logits_graph(pt, ad.tensor(x)), y, reduction="sum")
-    robust = worst_case_loss_graph(pt, x, y, np.atleast_2d(m), kappa, clamp=clamp)
-    return ad.add(nominal, ad.mul(ad.tensor(alpha), robust)).item()

@@ -1,4 +1,4 @@
-"""Feedforward relu classifiers: spec, init, forward pass, task loss.
+"""Feedforward relu classifiers: spec, init, forward pass, checkpoints.
 
 Default architectures:
 * image task: 2352-512-512-10 (3x28x28 flattened input, two hidden
@@ -44,10 +44,6 @@ class MlpSpec:
 
     def sizes(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.classes)
-
-
-def image_spec() -> MlpSpec:
-    return MlpSpec(3 * 28 * 28, (512, 512), 10)
 
 
 def toy2d_spec() -> MlpSpec:
@@ -146,12 +142,6 @@ def logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return np.argmax(logits(params, x), axis=1)
-
-
-def task_loss(z, y, reduction: str = "mean") -> ad.Tensor:
-    """Softmax cross-entropy -log softmax_y(z); z may be a Tensor or array."""
-    z = z if isinstance(z, ad.Tensor) else ad.tensor(np.atleast_2d(z))
-    return ad.cross_entropy(z, y, reduction=reduction)
 
 
 def save_checkpoint(path, params: ModelParams, seed: int = 0, config_hash: str = "") -> None:

@@ -20,14 +20,13 @@ from .model import logits_graph, param_tensors
 
 @dataclass
 class PerturbConfig:
-    method: str = "pgd"  # 'avg' or 'pgd'
+    method: str = "pgd"  # 'avg' or 'pgd'; training follows TrainingConfig.method
     sigma: float = 0.3  # noise scale (avg)
     k_samples: int = 4  # draws per example (avg)
     kappa: float = 0.3  # l-inf radius (pgd)
     steps: int = 7
     step_size: float | None = None  # defaults to kappa / 4
     alpha: float = 1.0
-    clamp: tuple[float, float] | None = None  # data range for x + delta
     random_start: bool = False
 
     def __post_init__(self):
@@ -43,10 +42,6 @@ class PerturbConfig:
             raise ValueError("step_size must be >= 0")
 
 
-def _as_tensors(params) -> list[ad.Tensor]:
-    return params if isinstance(params, list) else param_tensors(params)
-
-
 def masked_noise_loss_graph(ptensors, x, y, m, cfg: PerturbConfig, rng: np.random.Generator) -> ad.Tensor:
     """(alpha/K) sum_j summed-CE at x + eps_j * m, eps_j ~ N(0, sigma^2 I); unclipped."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -58,12 +53,6 @@ def masked_noise_loss_graph(ptensors, x, y, m, cfg: PerturbConfig, rng: np.rando
         term = ad.cross_entropy(logits_graph(ptensors, xj), y, reduction="sum")
         total = term if total is None else ad.add(total, term)
     return ad.mul(ad.tensor(cfg.alpha / cfg.k_samples), total)
-
-
-def avg_ex_loss(params, x, y, m, cfg: PerturbConfig, rng: np.random.Generator) -> float:
-    if cfg.method != "avg":
-        raise ValueError("avg_ex_loss requires cfg.method == 'avg'")
-    return masked_noise_loss_graph(_as_tensors(params), x, y, m, cfg, rng).item()
 
 
 def pgd_attack(
@@ -80,13 +69,14 @@ def pgd_attack(
 ) -> np.ndarray:
     """Best masked l-inf perturbation found by sign-gradient ascent.
 
+    ``params`` is a ModelParams or the graph leaves of one.
     Returns delta with |delta|_inf <= kappa and delta == 0 off-mask.
     Deterministic zero init unless random_start (then rng is required).
     Per example, the iterate with the highest loss seen is returned.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    pt = _as_tensors(params)
+    pt = params if isinstance(params, list) else param_tensors(params)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64).reshape(-1)
@@ -107,19 +97,20 @@ def pgd_attack(
         delta = np.zeros_like(x)
 
     def example_losses(delta):
-        z = logits_graph(pt, ad.tensor(x + delta))
-        return ad.cross_entropy(z, y, reduction="none")
+        xt = ad.tensor(x + delta)
+        return xt, ad.cross_entropy(logits_graph(pt, xt), y, reduction="none")
 
+    # each iterate's forward pass serves both its loss and its gradient
     best_delta = delta.copy()
-    best_loss = example_losses(delta).data.copy()
+    xt, losses = example_losses(delta)
+    best_loss = losses.data.copy()
     for _ in range(steps):
         # examples are independent, so the gradient of the summed loss
         # gives every per-example input gradient in one backward pass
-        xt = ad.tensor(x + delta)
-        loss_sum = ad.cross_entropy(logits_graph(pt, xt), y, reduction="sum")
-        (gx,) = ad.grad(loss_sum, [xt])
+        (gx,) = ad.grad(ad.tsum(losses), [xt])
         delta = project(delta + step * np.sign(m * gx.data))
-        cur = example_losses(delta).data
+        xt, losses = example_losses(delta)
+        cur = losses.data
         better = cur > best_loss
         best_loss = np.where(better, cur, best_loss)
         best_delta[better] = delta[better]
@@ -130,16 +121,6 @@ def adversarial_loss_graph(ptensors, x, y, delta, alpha: float) -> ad.Tensor:
     """alpha * summed-CE at the (fixed) adversarial points x + delta."""
     x_adv = ad.tensor(np.atleast_2d(x) + delta)
     return ad.mul(ad.tensor(alpha), ad.cross_entropy(logits_graph(ptensors, x_adv), y, reduction="sum"))
-
-
-def pgd_ex_loss(params, x, y, m, cfg: PerturbConfig, rng: np.random.Generator | None = None) -> float:
-    if cfg.method != "pgd":
-        raise ValueError("pgd_ex_loss requires cfg.method == 'pgd'")
-    pt = _as_tensors(params)
-    delta = pgd_attack(
-        pt, x, y, m, cfg.kappa, cfg.steps, cfg.step_size, clamp=cfg.clamp, rng=rng, random_start=cfg.random_start
-    )
-    return adversarial_loss_graph(pt, x, y, delta, cfg.alpha).item()
 
 
 def masked_corner_optimum(params, x, y, m, kappa: float) -> tuple[np.ndarray, float]:
@@ -153,7 +134,7 @@ def masked_corner_optimum(params, x, y, m, kappa: float) -> tuple[np.ndarray, fl
     idx = np.flatnonzero(m != 0)
     if idx.size > 20:
         raise ValueError(f"corner search over {idx.size} masked coords is intractable")
-    pt = _as_tensors(params)
+    pt = param_tensors(params)
     best_delta, best_loss = np.zeros_like(x), -np.inf
     for bits in range(2 ** idx.size):
         delta = np.zeros_like(x)

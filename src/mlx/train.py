@@ -25,7 +25,7 @@ pass, which the autodiff engine supports directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,11 +85,10 @@ def _saliency_graph(ptensors, xt: ad.Tensor) -> ad.Tensor:
     return g
 
 
-def importance_scores(params, x: np.ndarray) -> np.ndarray:
+def importance_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Per-coordinate saliency of each example in x."""
-    pt = params if isinstance(params, list) else param_tensors(params)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return _saliency_graph(pt, ad.tensor(x)).data
+    return _saliency_graph(param_tensors(params), ad.tensor(x)).data
 
 
 def saliency_penalty_graph(ptensors, x, m) -> ad.Tensor:
@@ -100,8 +99,8 @@ def saliency_penalty_graph(ptensors, x, m) -> ad.Tensor:
     return ad.tsum(ad.square(ad.mul(g, ad.tensor(m))))
 
 
-def grad_reg_term(params, x, m) -> float:
-    return saliency_penalty_graph(param_tensors(params) if not isinstance(params, list) else params, x, m).item()
+def grad_reg_term(params: ModelParams, x, m) -> float:
+    return saliency_penalty_graph(param_tensors(params), x, m).item()
 
 
 def _weight_decay_graph(ptensors, beta: float) -> ad.Tensor:
@@ -134,8 +133,7 @@ def total_loss_graph(
     if method in ("grad-reg", "pgd+grad", "ibp+grad") and cfg.lam > 0:
         reg = ad.mul(ad.tensor(cfg.lam), saliency_penalty_graph(ptensors, x, m))
     if method == "avg-ex":
-        pcfg = replace(cfg.perturb, method="avg")
-        robust = perturb.masked_noise_loss_graph(ptensors, x, y, m, pcfg, noise_rng)
+        robust = perturb.masked_noise_loss_graph(ptensors, x, y, m, cfg.perturb, noise_rng)
     elif method in ("pgd-ex", "pgd+grad"):
         pcfg = cfg.perturb
         delta = perturb.pgd_attack(
@@ -165,12 +163,6 @@ def total_loss_graph(
         "wd": 0.0 if wd is None else wd.item(),
     }
     return total, parts
-
-
-def total_loss(params, x, y, m, cfg: TrainingConfig, step_fraction: float, noise_rng=None) -> float:
-    pt = params if isinstance(params, list) else param_tensors(params)
-    loss, _ = total_loss_graph(pt, x, y, m, cfg, step_fraction, noise_rng)
-    return loss.item()
 
 
 class Adam:
@@ -210,17 +202,13 @@ class TrainResult:
     ``params`` is the epoch with the best validation worst-group
     accuracy (ties broken by the earliest epoch); ``final_params`` is
     the last epoch, for analyses where the clean-validation metric
-    saturates early and cannot distinguish checkpoints. Iterates as
-    (params, history).
+    saturates early and cannot distinguish checkpoints.
     """
 
     params: ModelParams
     final_params: ModelParams
     history: list[dict]
     best_epoch: int
-
-    def __iter__(self):
-        return iter((self.params, self.history))
 
 
 def train(splits, cfg: TrainingConfig, spec: MlpSpec | None = None) -> TrainResult:
@@ -259,7 +247,7 @@ def train(splits, cfg: TrainingConfig, spec: MlpSpec | None = None) -> TrainResu
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step_idx}: {err}") from err
             opt.step(params.flat(), [g.data for g in grads])
             for key in sums:
-                sums[key] += parts[key] * idx.size
+                sums[key] += parts[key]
             seen += idx.size
             step_idx += 1
         val_avg, val_wg = _val_metrics(params, va)

@@ -168,6 +168,13 @@ def test_synth_corpus_idx_files(tmp_path):
     assert again == paths
 
 
+def test_synth_corpus_not_reused_at_another_size(tmp_path):
+    data.ensure_digit_corpus(tmp_path, seed=3, n_train=100, n_test=20)
+    paths = data.ensure_digit_corpus(tmp_path, seed=3, n_train=200, n_test=20)
+    images, labels = data.load_idx(paths["train_images"], paths["train_labels"])
+    assert images.shape == (200, 28, 28) and labels.shape == (200,)
+
+
 def test_cache_roundtrip(tmp_path, decoy_splits):
     path = tmp_path / "cache.bin"
     data.save_cache(path, decoy_splits, seed=5, config_hash="deadbeef")

@@ -6,11 +6,11 @@ import pytest
 from mlx import autodiff as ad
 from mlx.intervals import (
     BoxInterval,
-    ibp_loss,
     input_box,
     propagate,
     propagate_graph,
     worst_case_logits,
+    worst_case_loss_graph,
 )
 from mlx.model import MlpSpec, init_params, linear_model, logits, param_tensors
 
@@ -147,8 +147,7 @@ def test_ibp_loss_degenerate_cases():
     m = np.ones_like(x)
     y = [0, 1]
     clean = ad.cross_entropy(ad.tensor(logits(params, x)), y, reduction="sum").item()
-    assert ibp_loss(params, x, y, m, kappa=0.0, alpha=0.7) == pytest.approx(1.7 * clean)
-    assert ibp_loss(params, x, y, m, kappa=0.5, alpha=0.0) == pytest.approx(clean)
+    assert worst_case_loss_graph(param_tensors(params), x, y, m, 0.0).item() == pytest.approx(clean)
 
 
 def test_ibp_loss_hand_linear_case():
@@ -160,10 +159,9 @@ def test_ibp_loss_hand_linear_case():
     y = [0]
     # box [-k, k]: logits z = [x, -x]; lower = [-k, -k], upper = [k, k]
     # worst case for y=0: [-k, k]
-    k, alpha = 0.5, 1.0
-    clean = np.log(2.0)
+    k = 0.5
     wc = np.log(1 + np.exp(2 * k))
-    assert ibp_loss(params, x, y, m, kappa=k, alpha=alpha) == pytest.approx(clean + alpha * wc)
+    assert worst_case_loss_graph(param_tensors(params), x, y, m, k).item() == pytest.approx(wc)
 
 
 def test_propagate_graph_matches_numpy():

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from mlx import autodiff as ad
-from mlx.intervals import ibp_loss
-from mlx.model import MlpSpec, init_params, linear_model, logits
+from mlx.intervals import worst_case_loss_graph
+from mlx.model import MlpSpec, init_params, linear_model, logits, param_tensors
 from mlx.perturb import (
     PerturbConfig,
-    avg_ex_loss,
+    adversarial_loss_graph,
     masked_corner_optimum,
+    masked_noise_loss_graph,
     pgd_attack,
-    pgd_ex_loss,
 )
 
 
@@ -33,8 +33,8 @@ def test_avg_ex_zero_sigma_reduces_to_scaled_loss():
     x = np.random.default_rng(0).normal(size=(3, 3))
     y = [0, 1, 0]
     cfg = PerturbConfig(method="avg", sigma=0.0, k_samples=3, alpha=0.7)
-    got = avg_ex_loss(params, x, y, np.ones_like(x), cfg, np.random.default_rng(1))
-    assert got == pytest.approx(0.7 * sum_ce(params, x, y))
+    got = masked_noise_loss_graph(param_tensors(params), x, y, np.ones_like(x), cfg, np.random.default_rng(1))
+    assert got.item() == pytest.approx(0.7 * sum_ce(params, x, y))
 
 
 def test_avg_ex_empty_mask_ignores_sigma():
@@ -42,8 +42,8 @@ def test_avg_ex_empty_mask_ignores_sigma():
     x = np.random.default_rng(0).normal(size=(2, 3))
     y = [1, 0]
     cfg = PerturbConfig(method="avg", sigma=5.0, k_samples=4, alpha=1.0)
-    got = avg_ex_loss(params, x, y, np.zeros_like(x), cfg, np.random.default_rng(1))
-    assert got == pytest.approx(sum_ce(params, x, y))
+    got = masked_noise_loss_graph(param_tensors(params), x, y, np.zeros_like(x), cfg, np.random.default_rng(1))
+    assert got.item() == pytest.approx(sum_ce(params, x, y))
 
 
 def test_avg_ex_matches_monte_carlo_oracle():
@@ -65,7 +65,7 @@ def test_avg_ex_matches_monte_carlo_oracle():
     mc_mean, mc_se = losses.mean(), losses.std() / np.sqrt(n_mc)
 
     cfg = PerturbConfig(method="avg", sigma=sigma, k_samples=4000, alpha=1.0)
-    got = avg_ex_loss(params, x, y, m, cfg, np.random.default_rng(4))
+    got = masked_noise_loss_graph(param_tensors(params), x, y, m, cfg, np.random.default_rng(4)).item()
     k_se = losses.std() / np.sqrt(cfg.k_samples)
     assert abs(got - mc_mean) < 3 * (k_se + mc_se)
 
@@ -145,8 +145,8 @@ def test_pgd_loss_at_least_clean_loss():
     x = rng.normal(size=(5, 4))
     y = rng.integers(0, 3, size=5)
     m = np.ones_like(x)
-    cfg = PerturbConfig(method="pgd", kappa=0.3, steps=5, alpha=1.0)
-    adv = pgd_ex_loss(params, x, y, m, cfg)
+    delta = pgd_attack(params, x, y, m, kappa=0.3, steps=5)
+    adv = adversarial_loss_graph(param_tensors(params), x, y, delta, 1.0).item()
     assert adv >= sum_ce(params, x, y) - 1e-10
 
 
@@ -154,8 +154,10 @@ def test_pgd_kappa_zero_is_clean_loss():
     params = init_params(MlpSpec(3, (4,), 2), 4)
     x = np.random.default_rng(1).normal(size=(2, 3))
     y = [0, 1]
-    cfg = PerturbConfig(method="pgd", kappa=0.0, steps=3, alpha=0.6)
-    assert pgd_ex_loss(params, x, y, np.ones_like(x), cfg) == pytest.approx(0.6 * sum_ce(params, x, y))
+    delta = pgd_attack(params, x, y, np.ones_like(x), kappa=0.0, steps=3)
+    assert np.all(delta == 0.0)
+    adv = adversarial_loss_graph(param_tensors(params), x, y, delta, 0.6).item()
+    assert adv == pytest.approx(0.6 * sum_ce(params, x, y))
 
 
 def test_loss_ordering_ibp_pgd_avg():
@@ -167,7 +169,7 @@ def test_loss_ordering_ibp_pgd_avg():
         y = [int(rng.integers(0, 3))]
         m = np.array([[1.0, 0.0, 1.0, 1.0]])
         kappa = 0.4
-        ibp = ibp_loss(params, x, y, m, kappa=kappa, alpha=1.0) - sum_ce(params, x, y)
+        ibp = worst_case_loss_graph(param_tensors(params), x, y, m, kappa).item()
         delta = pgd_attack(params, x, y, m, kappa=kappa, steps=7)
         pgd = sum_ce(params, x + delta, y)
         # truncated Gaussian samples kept inside the box

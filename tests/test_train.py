@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from mlx import autodiff as ad
-from mlx import data
+from mlx import config, data
 from mlx.model import MlpSpec, init_params, linear_model, logits, param_tensors
 from mlx.perturb import PerturbConfig
+from mlx.rng import stream
 from mlx.train import (
     TrainingConfig,
     TrainingDiverged,
@@ -12,7 +13,6 @@ from mlx.train import (
     eps_schedule,
     grad_reg_term,
     importance_scores,
-    total_loss,
     total_loss_graph,
     train,
 )
@@ -99,13 +99,18 @@ def sum_ce(params, x, y):
     return ad.cross_entropy(ad.tensor(logits(params, x)), y, reduction="sum").item()
 
 
+def loss_value(params, x, y, m, cfg, step_fraction):
+    loss, _ = total_loss_graph(param_tensors(params), x, y, m, cfg, step_fraction)
+    return loss.item()
+
+
 def test_total_loss_erm_is_task_plus_decay():
     params = init_params(MlpSpec(3, (4,), 2), 3)
     x = np.random.default_rng(1).normal(size=(4, 3))
     y = [0, 1, 1, 0]
     m = np.ones_like(x)
     cfg = TrainingConfig(method="erm", beta=0.1)
-    got = total_loss(params, x, y, m, cfg, 0.5)
+    got = loss_value(params, x, y, m, cfg, 0.5)
     assert got == pytest.approx(sum_ce(params, x, y) + 0.05 * params.sq_norm())
 
 
@@ -114,8 +119,12 @@ def test_total_loss_ibp_at_start_degenerates():
     x = np.random.default_rng(2).normal(size=(2, 3))
     y = [1, 0]
     cfg = TrainingConfig(method="ibp-ex", eps_max=1.0)
-    got = total_loss(params, x, y, np.ones_like(x), cfg, 0.0)
+    got = loss_value(params, x, y, np.ones_like(x), cfg, 0.0)
     assert got == pytest.approx((1 + 1.0) * sum_ce(params, x, y))
+    # avg-ex with zero noise degenerates the same way, at its own alpha
+    cfg = TrainingConfig(method="avg-ex", perturb=PerturbConfig(sigma=0.0, k_samples=3, alpha=0.7))
+    loss, _ = total_loss_graph(param_tensors(params), x, y, np.ones_like(x), cfg, 0.0, np.random.default_rng(0))
+    assert loss.item() == pytest.approx((1 + 0.7) * sum_ce(params, x, y))
 
 
 def test_total_loss_combined_is_additive():
@@ -127,8 +136,8 @@ def test_total_loss_combined_is_additive():
     pcfg = PerturbConfig(method="pgd", kappa=0.3, steps=3, alpha=0.8)
     combined = TrainingConfig(method="pgd+grad", lam=2.0, perturb=pcfg)
     alone = TrainingConfig(method="pgd-ex", perturb=pcfg)
-    got = total_loss(params, x, y, m, combined, 0.4)
-    expected = total_loss(params, x, y, m, alone, 0.4) + 2.0 * grad_reg_term(params, x, m)
+    got = loss_value(params, x, y, m, combined, 0.4)
+    expected = loss_value(params, x, y, m, alone, 0.4) + 2.0 * grad_reg_term(params, x, m)
     assert got == pytest.approx(expected)
 
 
@@ -153,7 +162,7 @@ def test_total_loss_gradient_matches_finite_differences():
             pm = params.copy()
             pm.weights[0][i, j] -= eps
             fd[i, j] = (
-                total_loss(pp, x, y, m, cfg, 0.0) - total_loss(pm, x, y, m, cfg, 0.0)
+                loss_value(pp, x, y, m, cfg, 0.0) - loss_value(pm, x, y, m, cfg, 0.0)
             ) / (2 * eps)
     denom = max(np.abs(fd).max(), 1e-12)
     assert np.abs(grads[0].data - fd).max() / denom < 1e-4
@@ -163,7 +172,7 @@ def test_total_loss_unknown_step_fraction():
     params = init_params(MlpSpec(2, (3,), 2), 0)
     cfg = TrainingConfig(method="erm")
     with pytest.raises(ValueError):
-        total_loss(params, np.zeros((1, 2)), [0], np.zeros((1, 2)), cfg, 1.5)
+        loss_value(params, np.zeros((1, 2)), [0], np.zeros((1, 2)), cfg, 1.5)
 
 
 def test_train_reaches_high_accuracy_on_toy():
@@ -182,6 +191,29 @@ def test_train_deterministic_history():
     assert res1.history == res2.history
     for a, b in zip(res1.params.flat(), res2.params.flat()):
         assert np.array_equal(a, b)
+
+
+def test_history_train_loss_is_per_example_mean():
+    splits = data.gen_toy2d(200, seed=8)
+    spec = MlpSpec(2, (8,), 2)
+    cfg = TrainingConfig(method="erm", epochs=1, batch_size=8, lr=0.0, seed=4)
+    res = train(splits, cfg, spec=spec)
+    # lr 0 leaves the init parameters in place for the whole epoch
+    init = init_params(spec, stream(cfg.seed, "init"))
+    z = logits(init, splits.train.x)
+    zs = z - z.max(axis=1, keepdims=True)
+    log_p = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+    expected = -log_p[np.arange(len(splits.train)), splits.train.y].mean()
+    assert res.history[0]["train_loss"] == pytest.approx(expected, rel=1e-12)
+    assert res.history[0]["robust_loss"] == 0.0
+
+
+def test_avg_ex_from_config_trains():
+    cfg = config.training_config({"training": {"method": "avg-ex", "epochs": 1}}, 0)
+    assert cfg.method == "avg-ex"
+    res = train(data.gen_toy2d(200, seed=9), cfg, spec=MlpSpec(2, (8,), 2))
+    robust = res.history[0]["robust_loss"]
+    assert np.isfinite(robust) and robust > 0.0
 
 
 def test_all_methods_collapse_to_erm_with_zero_weights():
