@@ -15,10 +15,10 @@ Conventions chosen for determinism:
   linear with the activation pattern locked at the evaluation point).
 
 Supported primitives: add, mul, div, neg, matmul, transpose, reshape,
-relu, absval, exp, log, sum, broadcast_to, gather_rows, scatter_rows.
-Affine layers, log-softmax and cross-entropy are stable compositions of
-these (log-sum-exp uses a detached max shift, which is exact at every
-differentiation order).
+relu, absval, exp, log, sum, broadcast_to. Affine layers, log-softmax
+and cross-entropy are stable compositions of these (log-sum-exp uses a
+detached max shift, which is exact at every differentiation order;
+cross-entropy picks each label's log-probability with a one-hot mask).
 """
 
 from __future__ import annotations
@@ -45,17 +45,12 @@ def _checked(data: np.ndarray, op: str) -> np.ndarray:
     return data
 
 
-def _quiet():
-    # overflow/invalid warnings are redundant: every op output is checked
-    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
-
-
 class Tensor:
     """Node of the computation graph: a float64 array plus provenance.
 
     ``op`` is the primitive name ('const' for leaves), ``parents`` the
     input tensors, ``aux`` the non-differentiable op arguments (axes,
-    shapes, index arrays, frozen masks) its vector-Jacobian product needs.
+    shapes, frozen masks) its vector-Jacobian product needs.
     A tensor's array is read, never written, once the tensor exists.
     """
 
@@ -116,20 +111,17 @@ def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    with _quiet():
-        return Tensor(_checked(a.data + b.data, "add"), "add", (a, b))
+    return Tensor(_checked(a.data + b.data, "add"), "add", (a, b))
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    with _quiet():
-        return Tensor(_checked(a.data * b.data, "mul"), "mul", (a, b))
+    return Tensor(_checked(a.data * b.data, "mul"), "mul", (a, b))
 
 
 def div(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    with _quiet():
-        return Tensor(_checked(a.data / b.data, "div"), "div", (a, b))
+    return Tensor(_checked(a.data / b.data, "div"), "div", (a, b))
 
 
 def neg(a) -> Tensor:
@@ -147,8 +139,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    with _quiet():
-        return Tensor(_checked(a.data @ b.data, "matmul"), "matmul", (a, b))
+    return Tensor(_checked(a.data @ b.data, "matmul"), "matmul", (a, b))
 
 
 def transpose(a) -> Tensor:
@@ -168,7 +159,7 @@ def reshape(a, shape) -> Tensor:
 def broadcast_to(a, shape) -> Tensor:
     a = _lift(a)
     shape = tuple(int(s) for s in shape)
-    return Tensor(np.broadcast_to(a.data, shape).copy(), "broadcast_to", (a,))
+    return Tensor(np.broadcast_to(a.data, shape), "broadcast_to", (a,))
 
 
 def relu(a) -> Tensor:
@@ -185,14 +176,12 @@ def absval(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = _lift(a)
-    with _quiet():
-        return Tensor(_checked(np.exp(a.data), "exp"), "exp", (a,))
+    return Tensor(_checked(np.exp(a.data), "exp"), "exp", (a,))
 
 
 def log(a) -> Tensor:
     a = _lift(a)
-    with _quiet():
-        return Tensor(_checked(np.log(a.data), "log"), "log", (a,))
+    return Tensor(_checked(np.log(a.data), "log"), "log", (a,))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -201,29 +190,8 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         if not isinstance(axis, tuple):
             axis = (int(axis),)
         axis = tuple(ax % a.data.ndim for ax in axis)
-    out = np.sum(a.data, axis=axis, keepdims=keepdims)
-    return Tensor(np.asarray(out, dtype=np.float64), "sum", (a,), (axis, keepdims, a.shape))
-
-
-def gather_rows(a, idx) -> Tensor:
-    """out[i] = a[i, idx[i]] for a 2-D tensor and integer index vector."""
-    a = _lift(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.data.ndim != 2 or idx.ndim != 1 or idx.shape[0] != a.shape[0]:
-        raise ShapeError(f"gather_rows expects (n,k) and (n,) index, got {a.shape}, {idx.shape}")
-    if idx.min(initial=0) < 0 or idx.max(initial=-1) >= a.shape[1]:
-        raise IndexError("gather_rows index out of range")
-    rows = np.arange(a.shape[0])
-    return Tensor(a.data[rows, idx], "gather_rows", (a,), (idx,))
-
-
-def scatter_rows(v, idx, width: int) -> Tensor:
-    """Inverse of gather_rows: place v[i] at column idx[i] of a zero (n,width) array."""
-    v = _lift(v)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.zeros((v.shape[0], int(width)), dtype=np.float64)
-    out[np.arange(v.shape[0]), idx] = v.data
-    return Tensor(out, "scatter_rows", (v,), (idx,))
+    out = np.asarray(np.sum(a.data, axis=axis, keepdims=keepdims), dtype=np.float64)
+    return Tensor(_checked(out, "sum"), "sum", (a,), (axis, keepdims, a.shape))
 
 
 # One vector-Jacobian product per parent, so the reverse pass only
@@ -248,8 +216,6 @@ _VJPS = {
     "exp": (lambda t, g: mul(g, t),),
     "log": (lambda t, g: div(g, t.parents[0]),),
     "sum": (lambda t, g: _sum_vjp(t, g),),
-    "gather_rows": (lambda t, g: scatter_rows(g, t.aux[0], t.parents[0].shape[1]),),
-    "scatter_rows": (lambda t, g: gather_rows(g, t.aux[0]),),
 }
 
 
@@ -286,6 +252,16 @@ def log_softmax(z, axis: int = -1) -> Tensor:
     return sub(z, logsumexp(z, axis=axis))
 
 
+def one_hot(labels, classes: int) -> np.ndarray:
+    """(n, classes) float64 mask holding a 1 at each example's label column."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= classes:
+        raise IndexError(f"label out of range [0, {classes})")
+    mask = np.zeros((labels.shape[0], classes))
+    mask[np.arange(labels.shape[0]), labels] = 1.0
+    return mask
+
+
 def cross_entropy(logits, labels, reduction: str = "mean") -> Tensor:
     """Softmax cross-entropy; labels are integer class indices.
 
@@ -295,16 +271,16 @@ def cross_entropy(logits, labels, reduction: str = "mean") -> Tensor:
     logits = _lift(logits)
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects (n, classes) logits, got {logits.shape}")
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= logits.shape[1]:
-        raise IndexError(f"label out of range [0, {logits.shape[1]})")
-    nll = neg(gather_rows(log_softmax(logits, axis=-1), labels))
+    mask = one_hot(labels, logits.shape[1])
+    if mask.shape != logits.shape:
+        raise ShapeError(f"cross_entropy got {mask.shape[0]} labels for {logits.shape[0]} examples")
+    nll = neg(tsum(mul(log_softmax(logits, axis=-1), Tensor(mask)), axis=1))
     if reduction == "none":
         return nll
     if reduction == "sum":
         return tsum(nll)
     if reduction == "mean":
-        return div(tsum(nll), tensor(float(labels.shape[0])))
+        return div(tsum(nll), tensor(float(mask.shape[0])))
     raise ValueError(f"unknown reduction {reduction!r}")
 
 
@@ -335,22 +311,17 @@ def _topo(outputs) -> list:
     return order
 
 
-def grad(output: Tensor, wrt, seed: Tensor | None = None) -> list[Tensor]:
+def grad(output: Tensor, wrt) -> list[Tensor]:
     """Reverse-mode gradients of a scalar ``output`` w.r.t. each tensor in ``wrt``.
 
     The returned tensors are graph nodes themselves, so a scalar built
     from them can be passed to ``grad`` again for second-order
-    derivatives. A non-scalar output requires an explicit ``seed``
-    cotangent of the same shape.
+    derivatives.
     """
+    if output.size != 1:
+        raise ShapeError(f"grad needs a scalar output, got shape {output.shape}")
     wrt = list(wrt)
     wrt_ids = {id(w) for w in wrt}
-    if seed is None:
-        if output.size != 1:
-            raise ShapeError("grad of non-scalar output requires an explicit seed")
-        seed = Tensor(np.ones_like(output.data))
-    elif seed.shape != output.shape:
-        raise ShapeError("seed shape must match output shape")
 
     order = _topo([output])
     # Only propagate into nodes from which a requested tensor is reachable.
@@ -359,7 +330,7 @@ def grad(output: Tensor, wrt, seed: Tensor | None = None) -> list[Tensor]:
         if id(node) in wrt_ids or any(id(p) in needed for p in node.parents):
             needed.add(id(node))
 
-    cotangent: dict[int, Tensor] = {id(output): seed}
+    cotangent: dict[int, Tensor] = {id(output): Tensor(np.ones_like(output.data))}
     final: dict[int, Tensor] = {}
     for node in reversed(order):
         g = cotangent.pop(id(node), None)

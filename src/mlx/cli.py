@@ -230,7 +230,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     entries = cfg.get("sweep", [])
     if not entries:
         raise cfgmod.ConfigError("sweep: no entries")
-    rows = []
+    runs = []
     for i, entry in enumerate(entries):
         merged = json.loads(json.dumps(cfg))  # deep copy
         merged.pop("sweep")
@@ -240,11 +240,17 @@ def cmd_sweep(cfg: dict, args) -> int:
                 training.setdefault("perturb", {}).update(value)
             else:
                 training[key] = value
-        name = entry.get("name", f"run{i}")
+        # every entry is checked before the first one trains
+        try:
+            tcfg = cfgmod.training_config(merged, seed)
+        except cfgmod.ConfigError as err:
+            raise cfgmod.ConfigError(f"sweep[{i}].{err}") from err
+        runs.append((entry.get("name", f"run{i}"), merged, tcfg))
+    rows = []
+    for name, merged, tcfg in runs:
         t0 = time.time()
         splits, params, _ = _train_once(merged, out, seed)
         report = _eval_report(merged, splits, params, seed)
-        tcfg = cfgmod.training_config(merged, seed)
         rows.append(
             {
                 "name": name,

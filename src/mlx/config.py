@@ -114,6 +114,9 @@ def validate(raw: dict) -> dict:
     ds = raw.get("dataset", {})
     if "name" in ds and ds["name"] not in ("toy2d", "decoy"):
         raise ConfigError(f"dataset.name: unknown dataset {ds['name']!r}")
+    hidden = raw.get("model", {}).get("hidden")
+    if hidden is not None and (not hidden or any(type(h) is not int or h < 1 for h in hidden)):
+        raise ConfigError(f"model.hidden: expected a non-empty list of positive integers, got {hidden!r}")
     return raw
 
 
@@ -133,13 +136,17 @@ def config_hash(cfg: dict) -> str:
 
 
 def training_config(cfg: dict, seed: int) -> TrainingConfig:
+    """The ``training`` block as a TrainingConfig; out-of-range values
+    raise ConfigError naming the block."""
     block = dict(cfg.get("training", {}))
     pblock = dict(block.pop("perturb", {}))
     clamp = block.pop("clamp", None)
-    perturb = PerturbConfig(**pblock)
-    return TrainingConfig(
-        perturb=perturb,
-        clamp=tuple(clamp) if clamp is not None else None,
-        seed=seed,
-        **block,
-    )
+    try:
+        return TrainingConfig(
+            perturb=PerturbConfig(**pblock),
+            clamp=tuple(clamp) if clamp is not None else None,
+            seed=seed,
+            **block,
+        )
+    except ValueError as err:
+        raise ConfigError(f"training: {err}") from err

@@ -98,20 +98,14 @@ def propagate_graph(ptensors: list[ad.Tensor], box: BoxInterval) -> tuple[ad.Ten
 
 def worst_case_logits(box: BoxInterval, y) -> np.ndarray:
     """Lower bound at the true class, upper bound at every other class."""
-    y = np.asarray(y, dtype=np.int64).reshape(-1)
     lower = np.atleast_2d(box.lower)
     upper = np.atleast_2d(box.upper)
-    if y.min(initial=0) < 0 or y.max(initial=-1) >= lower.shape[1]:
-        raise IndexError(f"label out of range [0, {lower.shape[1]})")
-    onehot = np.zeros_like(lower)
-    onehot[np.arange(y.shape[0]), y] = 1.0
+    onehot = ad.one_hot(y, lower.shape[1])
     return lower * onehot + upper * (1.0 - onehot)
 
 
 def worst_case_logits_graph(lower: ad.Tensor, upper: ad.Tensor, y) -> ad.Tensor:
-    y = np.asarray(y, dtype=np.int64).reshape(-1)
-    onehot = np.zeros(lower.shape)
-    onehot[np.arange(y.shape[0]), y] = 1.0
+    onehot = ad.one_hot(y, lower.shape[1])
     oh = ad.tensor(onehot)
     return ad.add(ad.mul(lower, oh), ad.mul(upper, ad.tensor(1.0 - onehot)))
 

@@ -11,7 +11,8 @@ Methods:
 Weight decay 0.5 * beta * |theta|^2 is added for every method when
 beta > 0. Loss terms sum over the batch (not mean), so lam and beta
 weigh the penalty against the summed task loss; history rows report
-per-example averages for readability.
+per-example averages of the task, robust and saliency terms for
+readability (weight decay is not reported).
 
 The box radius ramps linearly 0 -> eps_max over the first
 ``ramp_fraction`` of training and the robust weight alpha ramps
@@ -61,6 +62,8 @@ class TrainingConfig:
             raise ValueError("lam and beta must be >= 0")
         if not 0 < self.ramp_fraction <= 1:
             raise ValueError("ramp_fraction must be in (0, 1]")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
 
 
 def eps_schedule(cfg: TrainingConfig, step_fraction: float) -> float:
@@ -120,7 +123,9 @@ def total_loss_graph(
     step_fraction: float,
     noise_rng: np.random.Generator | None = None,
 ) -> tuple[ad.Tensor, dict]:
-    """Scalar training loss plus a breakdown {task, robust, reg, wd}."""
+    """Scalar training loss plus the values {task, robust, reg} of its
+    batch-summed terms (0.0 for an absent term); weight decay is in the
+    loss but not in the breakdown."""
     if not 0 <= step_fraction <= 1:
         raise ValueError("step_fraction must be in [0, 1]")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -152,15 +157,12 @@ def total_loss_graph(
         total = ad.add(total, robust)
     if reg is not None:
         total = ad.add(total, reg)
-    wd = None
     if cfg.beta > 0:
-        wd = _weight_decay_graph(ptensors, cfg.beta)
-        total = ad.add(total, wd)
+        total = ad.add(total, _weight_decay_graph(ptensors, cfg.beta))
     parts = {
         "task": task.item(),
         "robust": 0.0 if robust is None else robust.item(),
         "reg": 0.0 if reg is None else reg.item(),
-        "wd": 0.0 if wd is None else wd.item(),
     }
     return total, parts
 
@@ -211,15 +213,13 @@ class TrainResult:
     best_epoch: int
 
 
-def train(splits, cfg: TrainingConfig, spec: MlpSpec | None = None) -> TrainResult:
+def train(splits, cfg: TrainingConfig, spec: MlpSpec) -> TrainResult:
     """Adam training with per-epoch validation; the selected checkpoint
     maximises validation worst-group accuracy (ties broken by earliest
     epoch)."""
     tr, va = splits.train, splits.val
     if tr.x.shape[0] == 0 or va.x.shape[0] == 0:
         raise ValueError("train and val splits must be non-empty")
-    if spec is None:
-        spec = MlpSpec(tr.x.shape[1], (32, 32), int(tr.y.max()) + 1)
     params = init_params(spec, rng.stream(cfg.seed, "init"))
     shuffle_rng = rng.stream(cfg.seed, "shuffle")
     noise_rng = rng.stream(cfg.seed, "noise")

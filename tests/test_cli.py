@@ -58,6 +58,35 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+@pytest.mark.parametrize(
+    "block, key, value, field",
+    [
+        ("training", "method", "bogus", "training"),
+        ("training", "epochs", 0, "training"),
+        ("training", "batch_size", 0, "training"),
+        ("model", "hidden", ["x"], "model.hidden"),
+    ],
+    ids=["method", "epochs", "batch_size", "hidden"],
+)
+def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, block, key, value, field):
+    out = str(tmp_path / "run")
+    assert run_cli("gen-data", "--config", write_config(tmp_path, TOY), "--out", out) == 0
+    doc = json.loads(json.dumps(TOY))
+    doc[block][key] = value
+    assert run_cli("train", "--config", write_config(tmp_path, doc, "bad.json"), "--out", out) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+
+
+def test_bad_sweep_entry_is_named_before_training(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    doc = dict(TOY, sweep=[{"name": "ok", "training": {}}, {"name": "bad", "training": {"epochs": 0}}])
+    cfg_path = write_config(tmp_path, doc)
+    assert run_cli("gen-data", "--config", cfg_path, "--out", str(out)) == 0
+    assert run_cli("sweep", "--config", cfg_path, "--out", str(out)) == 2
+    assert "config error: sweep[1].training" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_full_pipeline_and_determinism(tmp_path):
     cfg_path = write_config(tmp_path, TOY)
     out = tmp_path / "run"
