@@ -18,7 +18,7 @@ OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
 splits = data.gen_toy2d(600, seed=1)
-spec = model.toy2d_spec()
+spec = model.MlpSpec(2, (32, 32), 2)
 
 RUNS = [
     ("erm", train.TrainingConfig(method="erm", epochs=300, batch_size=64, lr=5e-3, seed=5)),

@@ -26,21 +26,16 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import data, metrics, rng, theory
+from .binfile import FileFormatError
 from .model import MlpSpec, load_checkpoint, save_checkpoint
 from .train import train as run_training
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _write_csv(path, header_meta: dict, columns: list[str], rows: list[dict]) -> None:
     lines = ["# " + " ".join(f"{k}={v}" for k, v in header_meta.items())]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+        lines.append(",".join(str(row[c]) for c in columns))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -83,16 +78,8 @@ def _build_dataset(cfg: dict, out: Path, seed: int) -> data.DatasetSplits:
     paths = data.ensure_digit_corpus(digits_dir, seed=ds_seed)
     train_images, train_labels = data.load_idx(paths["train_images"], paths["train_labels"])
     test_images, test_labels = data.load_idx(paths["test_images"], paths["test_labels"])
-    return data.build_decoy_mnist(
-        train_images,
-        train_labels,
-        test_images,
-        test_labels,
-        seed=ds_seed,
-        n_train=int(block.get("n_train", 10000)),
-        n_val=int(block.get("n_val", 1000)),
-        n_test=int(block.get("n_test", 2000)),
-    )
+    sizes = {k: block[k] for k in ("n_train", "n_val", "n_test") if k in block}
+    return data.build_decoy_mnist(train_images, train_labels, test_images, test_labels, seed=ds_seed, **sizes)
 
 
 def _load_dataset(cfg: dict, out: Path, seed: int) -> data.DatasetSplits:
@@ -120,36 +107,32 @@ def _train_once(cfg: dict, out: Path, seed: int):
     tcfg = cfgmod.training_config(cfg, seed)
     hidden = tuple(cfg.get("model", {}).get("hidden", (32, 32)))
     spec = MlpSpec(splits.train.x.shape[1], hidden, int(splits.train.y.max()) + 1)
-    result = run_training(splits, tcfg, spec=spec)
-    return splits, result.params, result.history
+    return splits, run_training(splits, tcfg, spec=spec)
 
 
 def cmd_train(cfg: dict, args) -> int:
     seed = _root_seed(cfg, args)
     out = _out_dir(cfg, args)
     chash = cfgmod.config_hash(cfg)
-    _, params, history = _train_once(cfg, out, seed)
-    save_checkpoint(out / "checkpoint.bin", params, seed=seed, config_hash=chash)
+    _, result = _train_once(cfg, out, seed)
+    save_checkpoint(out / "checkpoint.bin", result.params, seed=seed, config_hash=chash)
     _write_csv(
         out / "history.csv",
         {"config_hash": chash, "seed": seed},
         ["epoch", "train_loss", "robust_loss", "reg_loss", "val_avg_acc", "val_wg_acc"],
-        history,
+        result.history,
     )
-    best = max(history, key=lambda r: r["val_wg_acc"])
-    print(f"wrote {out / 'checkpoint.bin'} (best val wg acc {best['val_wg_acc']:.4f} at epoch {best['epoch']})")
+    best = result.history[result.best_epoch]
+    print(f"wrote {out / 'checkpoint.bin'} (best val wg acc {best['val_wg_acc']:.4f} at epoch {result.best_epoch})")
     return 0
 
 
 def _eval_report(cfg: dict, splits: data.DatasetSplits, params, seed: int) -> metrics.MetricsReport:
     eval_cfg = cfg.get("eval", {})
-    with_rcs = bool(eval_cfg.get("rcs", True))
-    if with_rcs and not splits.has_masks:
-        raise cfgmod.ConfigError("eval.rcs: dataset has no masks; disable rcs or regenerate data")
     return metrics.build_report(
         params,
         splits.test,
-        with_rcs=with_rcs,
+        with_rcs=bool(eval_cfg.get("rcs", True)),
         rcs_sigma=float(eval_cfg.get("rcs_sigma", 0.25)),
         rng=rng.stream(seed, "rcs"),
         with_saliency=bool(eval_cfg.get("saliency", True)),
@@ -192,7 +175,7 @@ def cmd_boundary_dump(cfg: dict, args) -> int:
         {
             "config_hash": cfgmod.config_hash(cfg),
             "seed": seed,
-            "flip_fraction": repr(grid.flip_fraction),
+            "flip_fraction": grid.flip_fraction,
         },
         ["x1", "x2", "pred", "logit0", "logit1"],
         rows,
@@ -249,8 +232,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     rows = []
     for name, merged, tcfg in runs:
         t0 = time.time()
-        splits, params, _ = _train_once(merged, out, seed)
-        report = _eval_report(merged, splits, params, seed)
+        splits, result = _train_once(merged, out, seed)
+        report = _eval_report(merged, splits, result.params, seed)
         rows.append(
             {
                 "name": name,
@@ -297,7 +280,7 @@ def main(argv=None) -> int:
     except cfgmod.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except (FileNotFoundError, FileFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

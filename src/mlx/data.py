@@ -23,11 +23,9 @@ real digit corpus is available a deterministic synthetic stroke-glyph
 corpus is rendered and written through the same IDX files.
 
 Cache file layout (little-endian):
-    magic    4 bytes b'MLXD', version u32 1
-    seed     u64
-    hash_len u32 + utf-8 config hash
+    header   magic b'MLXD', version 2, seed, config hash, as in ``binfile``
     name_len u32 + utf-8 dataset name
-    has_masks u8, feature_dim u32, n_classes u32
+    feature_dim u32
     3 splits (train, val, test), each:
         count u32
         x      count*dim  f32
@@ -44,10 +42,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import Reader, write_header, write_text
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CACHE_MAGIC = b"MLXD"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 # 10 decoy colors: a maximal-separation spherical code of radius 0.5 around
 # mid-gray, so every color is linearly separable from the rest (a linear
@@ -86,7 +86,6 @@ class DatasetSplits:
     val: Split
     test: Split
     name: str = ""
-    has_masks: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -132,27 +131,17 @@ def gen_toy2d(n: int, seed: int) -> DatasetSplits:
 def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Parse an IDX image/label file pair; pixels scaled to [0, 1]."""
     with open(images_path, "rb") as f:
-        header = f.read(16)
-        if len(header) < 16:
-            raise ValueError(f"{images_path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
+        r = Reader(f, images_path)
+        magic, count, rows, cols = r.unpack(">IIII")
         if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(f"{images_path}: bad IDX magic {magic:#010x}")
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise ValueError(f"{images_path}: truncated pixel data")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
+            raise r.error(f"bad IDX magic {magic:#010x}")
+        images = r.array(np.uint8, count * rows * cols).reshape(count, rows, cols)
     with open(labels_path, "rb") as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise ValueError(f"{labels_path}: truncated IDX header")
-        magic, n_labels = struct.unpack(">II", header)
+        r = Reader(f, labels_path)
+        magic, n_labels = r.unpack(">II")
         if magic != IDX_LABELS_MAGIC:
-            raise ValueError(f"{labels_path}: bad IDX magic {magic:#010x}")
-        raw = f.read(n_labels)
-        if len(raw) != n_labels:
-            raise ValueError(f"{labels_path}: truncated label data")
-        labels = np.frombuffer(raw, dtype=np.uint8)
+            raise r.error(f"bad IDX magic {magic:#010x}")
+        labels = r.array(np.uint8, n_labels)
     if n_labels != count:
         raise ValueError(f"image/label count mismatch: {count} images, {n_labels} labels")
     return images.astype(np.float64) / 255.0, labels.astype(np.int64)
@@ -372,15 +361,10 @@ def build_decoy_mnist(
 
 def save_cache(path, splits: DatasetSplits, seed: int = 0, config_hash: str = "") -> None:
     d = splits.train.x.shape[1]
-    n_classes = int(max(s.y.max() for s in (splits.train, splits.val, splits.test))) + 1
     with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<IQ", CACHE_VERSION, seed))
-        for text in (config_hash, splits.name):
-            raw = text.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-        f.write(struct.pack("<BII", int(splits.has_masks), d, n_classes))
+        write_header(f, CACHE_MAGIC, CACHE_VERSION, seed, config_hash)
+        write_text(f, splits.name)
+        f.write(struct.pack("<I", d))
         for split in (splits.train, splits.val, splits.test):
             f.write(struct.pack("<I", len(split)))
             f.write(np.ascontiguousarray(split.x, dtype="<f4").tobytes())
@@ -390,28 +374,23 @@ def save_cache(path, splits: DatasetSplits, seed: int = 0, config_hash: str = ""
 
 
 def load_cache(path) -> tuple[DatasetSplits, dict]:
+    """Splits plus ``{seed, config_hash}``; a damaged or stale file
+    (including every version-1 cache) raises FileFormatError naming the
+    path; ``mlx gen-data`` rewrites it."""
     with open(path, "rb") as f:
-        if f.read(4) != CACHE_MAGIC:
-            raise ValueError(f"{path}: not a dataset cache (bad magic)")
-        version, seed = struct.unpack("<IQ", f.read(12))
-        if version != CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        texts = []
-        for _ in range(2):
-            (ln,) = struct.unpack("<I", f.read(4))
-            texts.append(f.read(ln).decode("utf-8"))
-        config_hash, name = texts
-        has_masks, d, n_classes = struct.unpack("<BII", f.read(9))
+        r = Reader(f, path)
+        seed, config_hash = r.header(CACHE_MAGIC, CACHE_VERSION, "dataset cache")
+        name = r.text()
+        (d,) = r.unpack("<I")
         packed_w = (d + 7) // 8
         parts = []
         for _ in range(3):
-            (count,) = struct.unpack("<I", f.read(4))
-            x = np.frombuffer(f.read(4 * count * d), dtype="<f4").reshape(count, d).astype(np.float64)
-            y = np.frombuffer(f.read(4 * count), dtype="<u4").astype(np.int64)
-            group = np.frombuffer(f.read(4 * count), dtype="<u4").astype(np.int64)
-            m_bits = np.frombuffer(f.read(count * packed_w), dtype=np.uint8).reshape(count, packed_w)
+            (count,) = r.unpack("<I")
+            x = r.array("<f4", count * d).reshape(count, d).astype(np.float64)
+            y = r.array("<u4", count).astype(np.int64)
+            group = r.array("<u4", count).astype(np.int64)
+            m_bits = r.array(np.uint8, count * packed_w).reshape(count, packed_w)
             m = np.unpackbits(m_bits, axis=1)[:, :d].astype(np.float64)
             parts.append(Split(x, y, m, group))
-    splits = DatasetSplits(*parts, name=name, has_masks=bool(has_masks))
-    meta = {"seed": seed, "config_hash": config_hash, "n_classes": n_classes}
-    return splits, meta
+        r.end()
+    return DatasetSplits(*parts, name=name), {"seed": seed, "config_hash": config_hash}

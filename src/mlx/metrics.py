@@ -1,5 +1,5 @@
 """Evaluation: macro/worst-group accuracy, noise-sensitivity score,
-saliency diagnostics, SmoothGrad maps, and 2-D decision-boundary grids.
+saliency diagnostics and 2-D decision-boundary grids.
 
 The noise-sensitivity score (``rcs``) compares accuracy under Gaussian
 noise confined to the irrelevant (masked) region against accuracy under
@@ -22,20 +22,9 @@ import numpy as np
 from .model import ModelParams, logits, predict
 
 
-def _per_class_accuracy(preds, labels) -> dict[int, float]:
-    preds = np.asarray(preds).reshape(-1)
-    labels = np.asarray(labels).reshape(-1)
-    if preds.shape != labels.shape:
-        raise ValueError("preds and labels must have equal length")
-    return {
-        int(c): float(np.mean(preds[labels == c] == c))
-        for c in np.unique(labels)
-    }
-
-
 def macro_avg_accuracy(preds, labels) -> float:
     """Mean over classes (present in labels) of within-class accuracy."""
-    per_class = _per_class_accuracy(preds, labels)
+    per_class = per_group_accuracy(preds, labels, labels)
     return float(np.mean(list(per_class.values())))
 
 
@@ -93,20 +82,6 @@ def saliency_stats(params: ModelParams, x, m) -> SaliencyStats:
     ratios = masked[ok] / unmasked[ok]
     s2 = float(np.median(ratios)) if ratios.size else math.nan
     return SaliencyStats(float(np.median(masked)), s2, int(np.sum(~ok)))
-
-
-def smoothgrad(params: ModelParams, x, k: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Mean saliency over k Gaussian-noised copies of x."""
-    from .train import importance_scores
-
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    acc = np.zeros_like(x)
-    for _ in range(k):
-        noise = rng.normal(0.0, sigma, size=x.shape) if sigma > 0 else 0.0
-        acc += importance_scores(params, x + noise)
-    return acc / k
 
 
 @dataclass

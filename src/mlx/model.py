@@ -6,10 +6,8 @@ Default architectures:
 * 2-D toy task: 2-32-32-2.
 
 Checkpoint file layout (all little-endian):
-    magic    4 bytes  b'MLXW'
-    version  u32      1
-    seed     u64
-    hash_len u32, then hash_len bytes of utf-8 config hash (may be empty)
+    header   magic b'MLXW', version 1, seed, config hash (may be
+             empty), as in ``binfile``
     n_sizes  u32, then n_sizes u32 layer sizes (input, hidden..., classes)
     per layer: weight matrix (fan_in*fan_out f64, row-major), bias (fan_out f64)
 """
@@ -17,11 +15,12 @@ Checkpoint file layout (all little-endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .binfile import Reader, write_header
 
 MAGIC = b"MLXW"
 VERSION = 1
@@ -46,10 +45,6 @@ class MlpSpec:
         return (self.input_dim, *self.hidden, self.classes)
 
 
-def toy2d_spec() -> MlpSpec:
-    return MlpSpec(2, (32, 32), 2)
-
-
 @dataclass
 class ModelParams:
     """Weight matrices (fan_in, fan_out) and bias vectors per layer.
@@ -60,7 +55,6 @@ class ModelParams:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    spec: MlpSpec = field(repr=False, default=None)
 
     @property
     def input_dim(self) -> int:
@@ -81,10 +75,7 @@ class ModelParams:
         return out
 
     def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases], self.spec)
-
-    def sq_norm(self) -> float:
-        return float(sum(np.sum(a * a) for a in self.flat()))
+        return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 def linear_model(w: np.ndarray, b: np.ndarray | None = None) -> ModelParams:
@@ -106,7 +97,7 @@ def init_params(spec: MlpSpec, seed) -> ModelParams:
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return ModelParams(weights, biases, spec)
+    return ModelParams(weights, biases)
 
 
 def param_tensors(params: ModelParams) -> list[ad.Tensor]:
@@ -146,12 +137,8 @@ def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def save_checkpoint(path, params: ModelParams, seed: int = 0, config_hash: str = "") -> None:
     sizes = params.sizes()
-    h = config_hash.encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<IQ", VERSION, seed))
-        f.write(struct.pack("<I", len(h)))
-        f.write(h)
+        write_header(f, MAGIC, VERSION, seed, config_hash)
         f.write(struct.pack("<I", len(sizes)))
         f.write(struct.pack(f"<{len(sizes)}I", *sizes))
         for w, b in zip(params.weights, params.biases):
@@ -160,24 +147,18 @@ def save_checkpoint(path, params: ModelParams, seed: int = 0, config_hash: str =
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Parameters plus ``{seed, config_hash}``; a damaged or stale file
+    raises FileFormatError naming the path."""
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        version, seed = struct.unpack("<IQ", f.read(12))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (hash_len,) = struct.unpack("<I", f.read(4))
-        config_hash = f.read(hash_len).decode("utf-8")
-        (n_sizes,) = struct.unpack("<I", f.read(4))
-        sizes = struct.unpack(f"<{n_sizes}I", f.read(4 * n_sizes))
-        spec = MlpSpec(sizes[0], tuple(sizes[1:-1]), sizes[-1]) if n_sizes >= 3 else None
+        r = Reader(f, path)
+        seed, config_hash = r.header(MAGIC, VERSION, "checkpoint")
+        (n_sizes,) = r.unpack("<I")
+        sizes = r.unpack(f"<{n_sizes}I")
+        if n_sizes < 2 or 0 in sizes:
+            raise r.error(f"bad layer sizes {sizes}")
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = np.frombuffer(f.read(8 * fan_in * fan_out), dtype="<f8").reshape(fan_in, fan_out)
-            b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
-            weights.append(w.astype(np.float64))
-            biases.append(b.astype(np.float64))
-        trailing = f.read(1)
-        if trailing:
-            raise ValueError(f"{path}: trailing bytes after parameters")
-    return ModelParams(weights, biases, spec), {"seed": seed, "config_hash": config_hash}
+            weights.append(r.array("<f8", fan_in * fan_out).reshape(fan_in, fan_out).astype(np.float64))
+            biases.append(r.array("<f8", fan_out).astype(np.float64))
+        r.end()
+    return ModelParams(weights, biases), {"seed": seed, "config_hash": config_hash}

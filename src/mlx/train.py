@@ -64,6 +64,12 @@ class TrainingConfig:
             raise ValueError("ramp_fraction must be in (0, 1]")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.clamp is not None and not (
+            len(self.clamp) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.clamp)
+            and self.clamp[0] < self.clamp[1]
+        ):
+            raise ValueError(f"clamp must be None or two numbers lo < hi, got {self.clamp!r}")
 
 
 def eps_schedule(cfg: TrainingConfig, step_fraction: float) -> float:

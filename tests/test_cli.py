@@ -65,8 +65,12 @@ def run_cli(*argv):
         ("training", "epochs", 0, "training"),
         ("training", "batch_size", 0, "training"),
         ("model", "hidden", ["x"], "model.hidden"),
+        ("training", "clamp", [1, 0], "training: clamp"),
+        ("training", "clamp", [0], "training: clamp"),
+        ("training", "clamp", [0, 1, 2], "training: clamp"),
+        ("training", "clamp", ["a", "b"], "training: clamp"),
     ],
-    ids=["method", "epochs", "batch_size", "hidden"],
+    ids=["method", "epochs", "batch_size", "hidden", "clamp-reversed", "clamp-short", "clamp-long", "clamp-text"],
 )
 def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, block, key, value, field):
     out = str(tmp_path / "run")
@@ -140,19 +144,16 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
     assert run_cli("train", "--config", cfg_path, "--out", str(out)) == 0
 
 
-def test_eval_without_masks_rejects_rcs(tmp_path, capsys):
-    from mlx import data
-
+def test_eval_on_truncated_checkpoint_exits_2_naming_the_file(tmp_path, capsys):
     cfg_path = write_config(tmp_path, TOY)
     out = tmp_path / "run"
     run_cli("gen-data", "--config", cfg_path, "--out", str(out))
     run_cli("train", "--config", cfg_path, "--out", str(out))
-    cache = next(Path(out).glob("dataset-*.bin"))
-    splits, meta = data.load_cache(cache)
-    splits.has_masks = False
-    data.save_cache(cache, splits, seed=meta["seed"], config_hash=meta["config_hash"])
+    checkpoint = out / "checkpoint.bin"
+    checkpoint.write_bytes(checkpoint.read_bytes()[:-8])  # the final bias loses one class
     assert run_cli("eval", "--config", cfg_path, "--out", str(out)) == 2
-    assert "rcs" in capsys.readouterr().err
+    assert f"error: {checkpoint}: truncated" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
 
 
 def test_gp_verify_writes_report(tmp_path):

@@ -1,9 +1,12 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from mlx import data
+from mlx.binfile import FileFormatError
 
 
 def test_toy2d_masks_and_groups():
@@ -67,8 +70,6 @@ def test_idx_bad_magic(tmp_path):
 
 
 def test_idx_truncated(tmp_path):
-    import struct
-
     (tmp_path / "img").write_bytes(struct.pack(">IIII", 0x803, 5, 28, 28) + b"\x00" * 100)
     (tmp_path / "lab").write_bytes(struct.pack(">II", 0x801, 5) + b"\x00" * 5)
     with pytest.raises(ValueError, match="truncated"):
@@ -182,7 +183,6 @@ def test_cache_roundtrip(tmp_path, decoy_splits):
     assert meta["seed"] == 5
     assert meta["config_hash"] == "deadbeef"
     assert loaded.name == decoy_splits.name
-    assert loaded.has_masks
     for a, b in ((loaded.train, decoy_splits.train), (loaded.test, decoy_splits.test)):
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.group, b.group)
@@ -194,4 +194,27 @@ def test_cache_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
+        data.load_cache(path)
+
+
+def test_cache_truncated_at_every_offset_names_the_file(tmp_path):
+    path = tmp_path / "cache.bin"
+    data.save_cache(path, data.gen_toy2d(100, seed=0), seed=1, config_hash="abc")
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
+            data.load_cache(path)
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(FileFormatError, match="trailing"):
+        data.load_cache(path)
+
+
+def test_cache_version_1_is_rejected_with_its_path(tmp_path):
+    path = tmp_path / "cache.bin"
+    data.save_cache(path, data.gen_toy2d(100, seed=0))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FileFormatError, match=re.escape(str(path)) + ".*version 1"):
         data.load_cache(path)

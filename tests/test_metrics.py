@@ -5,7 +5,6 @@ import pytest
 
 from mlx import metrics
 from mlx.model import MlpSpec, init_params, linear_model
-from mlx.train import importance_scores
 
 
 def test_macro_accuracy_all_correct():
@@ -153,39 +152,6 @@ def test_saliency_stats_linear_off_mask():
     assert stats.s1 == 0.0
     assert stats.s2 == 0.0
     assert stats.n_excluded == 0
-
-
-def test_smoothgrad_degenerate_equals_scores():
-    params = init_params(MlpSpec(3, (4,), 2), 2)
-    x = np.random.default_rng(1).normal(size=(2, 3))
-    got = metrics.smoothgrad(params, x, k=1, sigma=0.0, rng=np.random.default_rng(0))
-    assert got == pytest.approx(importance_scores(params, x))
-
-
-def test_smoothgrad_linear_model_invariant_to_noise():
-    # single-output linear model: saliency is the constant weight vector
-    params = linear_model(np.random.default_rng(2).normal(size=(4, 1)))
-    x = np.random.default_rng(3).normal(size=(2, 4))
-    base = importance_scores(params, x)
-    got = metrics.smoothgrad(params, x, k=8, sigma=1.0, rng=np.random.default_rng(4))
-    assert got == pytest.approx(base)
-
-
-def test_smoothgrad_variance_shrinks_as_one_over_k():
-    params = init_params(MlpSpec(3, (8,), 2), 5)
-    x = np.random.default_rng(6).normal(size=(1, 3))
-
-    def estimate_var(k, n_rep=100):
-        vals = []
-        rng = np.random.default_rng(123)
-        for _ in range(n_rep):
-            vals.append(metrics.smoothgrad(params, x, k=k, sigma=0.3, rng=rng)[0, 0])
-        return np.var(vals)
-
-    v1, v4, v16 = estimate_var(1), estimate_var(4), estimate_var(16)
-    # 1/K law within factor-2 bands (the estimates themselves are noisy)
-    assert v1 / 8 <= v4 <= v1 / 2
-    assert v1 / 32 <= v16 <= v1 / 8
 
 
 def test_boundary_grid_constant_classifier():

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from mlx import autodiff as ad
+from mlx.binfile import FileFormatError
 from mlx.model import (
     MlpSpec,
     init_params,
@@ -105,7 +108,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert meta == {"seed": 99, "config_hash": "abc123"}
     for a, b in zip(params.flat(), loaded.flat()):
         assert np.array_equal(a, b)
-    assert loaded.spec == params.spec
+    assert loaded.sizes() == params.sizes()
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -113,6 +116,16 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 64)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(path)
+
+
+def test_checkpoint_truncated_at_every_offset_names_the_file(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, init_params(MlpSpec(3, (4,), 2), 0), seed=1, config_hash="abc")
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
+            load_checkpoint(path)
 
 
 def test_predict_shape_mismatch():
