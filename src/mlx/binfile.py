@@ -9,19 +9,37 @@ Checkpoints and dataset caches open with the same header
 
 ``Reader`` checks every read against the bytes left in the file, so a
 truncated, padded, corrupt or stale file raises ``FileFormatError``
-naming its path rather than a numpy or struct error.
+naming its path rather than a numpy or struct error. ``replacing``
+writes every output file of the program, binary or text, so a write
+that fails leaves the earlier file in place.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
 
 class FileFormatError(ValueError):
     """A damaged or stale binary file; the message starts with its path."""
+
+
+@contextmanager
+def replacing(path, mode: str = "wb"):
+    """Open ``<path>.tmp`` for writing and move it over ``path`` once the
+    block completes; on any failure the temp file is removed and
+    ``path`` is left as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_text(f, text: str) -> None:

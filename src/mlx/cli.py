@@ -26,9 +26,13 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import data, metrics, rng, theory
-from .binfile import FileFormatError
+from .binfile import FileFormatError, replacing
 from .model import MlpSpec, load_checkpoint, save_checkpoint
 from .train import train as run_training
+
+
+def _meta(cfg: dict, seed: int) -> dict:
+    return {"config_hash": cfgmod.config_hash(cfg), "seed": seed}
 
 
 def _write_csv(path, header_meta: dict, columns: list[str], rows: list[dict]) -> None:
@@ -36,22 +40,14 @@ def _write_csv(path, header_meta: dict, columns: list[str], rows: list[dict]) ->
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(str(row[c]) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with replacing(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def _write_json(path, meta: dict, payload: dict) -> None:
     doc = {"meta": meta, **payload}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _root_seed(cfg: dict, args) -> int:
-    return args.seed if args.seed is not None else int(cfg.get("seed", 0))
-
-
-def _out_dir(cfg: dict, args) -> Path:
-    out = Path(args.out) if args.out else Path(cfg.get("out_dir", "mlx-runs"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    with replacing(path, "w") as f:
+        f.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _cache_dir(out: Path) -> Path:
@@ -69,17 +65,25 @@ def _dataset_cache_path(cfg: dict, out: Path, seed: int) -> Path:
 
 
 def _build_dataset(cfg: dict, out: Path, seed: int) -> data.DatasetSplits:
+    """The configured splits; sizes the builder rejects raise ConfigError
+    naming the dataset block."""
     block = cfg.get("dataset", {})
     name = block.get("name", "toy2d")
     ds_seed = int(block.get("seed", seed))
-    if name == "toy2d":
-        return data.gen_toy2d(int(block.get("n", 600)), ds_seed)
-    digits_dir = block.get("data_dir") or str(_cache_dir(out) / "digits")
-    paths = data.ensure_digit_corpus(digits_dir, seed=ds_seed)
-    train_images, train_labels = data.load_idx(paths["train_images"], paths["train_labels"])
-    test_images, test_labels = data.load_idx(paths["test_images"], paths["test_labels"])
-    sizes = {k: block[k] for k in ("n_train", "n_val", "n_test") if k in block}
-    return data.build_decoy_mnist(train_images, train_labels, test_images, test_labels, seed=ds_seed, **sizes)
+    if name == "decoy":
+        digits_dir = block.get("data_dir") or str(_cache_dir(out) / "digits")
+        paths = data.ensure_digit_corpus(digits_dir, seed=ds_seed)
+        corpus = (
+            *data.load_idx(paths["train_images"], paths["train_labels"]),
+            *data.load_idx(paths["test_images"], paths["test_labels"]),
+        )
+    try:
+        if name == "toy2d":
+            return data.gen_toy2d(int(block.get("n", 600)), ds_seed)
+        sizes = {k: block[k] for k in ("n_train", "n_val", "n_test") if k in block}
+        return data.build_decoy_mnist(*corpus, seed=ds_seed, **sizes)
+    except ValueError as err:
+        raise cfgmod.ConfigError(f"dataset: {err}") from err
 
 
 def _load_dataset(cfg: dict, out: Path, seed: int) -> data.DatasetSplits:
@@ -92,33 +96,27 @@ def _load_dataset(cfg: dict, out: Path, seed: int) -> data.DatasetSplits:
     return splits
 
 
-def cmd_gen_data(cfg: dict, args) -> int:
-    seed = _root_seed(cfg, args)
-    out = _out_dir(cfg, args)
+def _model_spec(cfg: dict, splits: data.DatasetSplits) -> MlpSpec:
+    hidden = tuple(cfg.get("model", {}).get("hidden", (32, 32)))
+    return MlpSpec(splits.train.x.shape[1], hidden, int(splits.train.y.max()) + 1)
+
+
+def cmd_gen_data(cfg: dict, seed: int, out: Path) -> int:
     splits = _build_dataset(cfg, out, seed)
     path = _dataset_cache_path(cfg, out, seed)
-    data.save_cache(path, splits, seed=seed, config_hash=cfgmod.config_hash(cfg))
+    data.save_cache(path, splits, **_meta(cfg, seed))
     print(f"wrote {path} ({len(splits.train)}/{len(splits.val)}/{len(splits.test)} examples)")
     return 0
 
 
-def _train_once(cfg: dict, out: Path, seed: int):
+def cmd_train(cfg: dict, seed: int, out: Path) -> int:
     splits = _load_dataset(cfg, out, seed)
-    tcfg = cfgmod.training_config(cfg, seed)
-    hidden = tuple(cfg.get("model", {}).get("hidden", (32, 32)))
-    spec = MlpSpec(splits.train.x.shape[1], hidden, int(splits.train.y.max()) + 1)
-    return splits, run_training(splits, tcfg, spec=spec)
-
-
-def cmd_train(cfg: dict, args) -> int:
-    seed = _root_seed(cfg, args)
-    out = _out_dir(cfg, args)
-    chash = cfgmod.config_hash(cfg)
-    _, result = _train_once(cfg, out, seed)
-    save_checkpoint(out / "checkpoint.bin", result.params, seed=seed, config_hash=chash)
+    result = run_training(splits, cfgmod.training_config(cfg, seed), spec=_model_spec(cfg, splits))
+    meta = _meta(cfg, seed)
+    save_checkpoint(out / "checkpoint.bin", result.params, **meta)
     _write_csv(
         out / "history.csv",
-        {"config_hash": chash, "seed": seed},
+        meta,
         ["epoch", "train_loss", "robust_loss", "reg_loss", "val_avg_acc", "val_wg_acc"],
         result.history,
     )
@@ -135,24 +133,19 @@ def _eval_report(cfg: dict, splits: data.DatasetSplits, params, seed: int) -> me
         with_rcs=bool(eval_cfg.get("rcs", True)),
         rcs_sigma=float(eval_cfg.get("rcs_sigma", 0.25)),
         rng=rng.stream(seed, "rcs"),
-        with_saliency=bool(eval_cfg.get("saliency", True)),
     )
 
 
-def cmd_eval(cfg: dict, args) -> int:
-    seed = _root_seed(cfg, args)
-    out = _out_dir(cfg, args)
+def cmd_eval(cfg: dict, seed: int, out: Path) -> int:
     splits = _load_dataset(cfg, out, seed)
     params, _ = load_checkpoint(out / "checkpoint.bin")
     report = _eval_report(cfg, splits, params, seed)
-    _write_json(out / "metrics.json", {"config_hash": cfgmod.config_hash(cfg), "seed": seed}, report.as_dict())
+    _write_json(out / "metrics.json", _meta(cfg, seed), report.as_dict())
     print(f"wrote {out / 'metrics.json'} (avg {report.avg_acc:.4f}, wg {report.wg_acc:.4f})")
     return 0
 
 
-def cmd_boundary_dump(cfg: dict, args) -> int:
-    seed = _root_seed(cfg, args)
-    out = _out_dir(cfg, args)
+def cmd_boundary_dump(cfg: dict, seed: int, out: Path) -> int:
     params, _ = load_checkpoint(out / "checkpoint.bin")
     eval_cfg = cfg.get("eval", {})
     (x1r, x2r) = eval_cfg.get("grid_range", [[-4.0, 4.0], [-3.0, 3.0]])
@@ -172,11 +165,7 @@ def cmd_boundary_dump(cfg: dict, args) -> int:
             )
     _write_csv(
         out / "boundary.csv",
-        {
-            "config_hash": cfgmod.config_hash(cfg),
-            "seed": seed,
-            "flip_fraction": grid.flip_fraction,
-        },
+        {**_meta(cfg, seed), "flip_fraction": grid.flip_fraction},
         ["x1", "x2", "pred", "logit0", "logit1"],
         rows,
     )
@@ -184,19 +173,16 @@ def cmd_boundary_dump(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_gp_verify(cfg: dict, args) -> int:
-    seed = _root_seed(cfg, args)
-    out = _out_dir(cfg, args)
+def cmd_gp_verify(cfg: dict, seed: int, out: Path) -> int:
     block = cfg.get("gp_verify", {})
-    vseed = int(block.get("seed", seed))
     payload = {
-        "gap_lower_bound": theory.run_thm1_trials(int(block.get("thm1_trials", 1000)), vseed),
-        "coverage_upper_bound": theory.run_thm2_trials(int(block.get("thm2_trials", 100)), vseed),
-        "kernel_psd": theory.run_kernel_psd_trials(int(block.get("psd_trials", 200)), vseed),
+        "gap_lower_bound": theory.run_thm1_trials(int(block.get("thm1_trials", 1000)), seed),
+        "coverage_upper_bound": theory.run_thm2_trials(int(block.get("thm2_trials", 100)), seed),
+        "kernel_psd": theory.run_kernel_psd_trials(int(block.get("psd_trials", 200)), seed),
         "mean_estimator_weights": theory.run_prop1_checks(),
     }
     payload["all_passed"] = all(v["passed"] for v in payload.values())
-    _write_json(out / "gp_verify.json", {"config_hash": cfgmod.config_hash(cfg), "seed": seed}, payload)
+    _write_json(out / "gp_verify.json", _meta(cfg, seed), payload)
     print(f"wrote {out / 'gp_verify.json'} (all passed: {payload['all_passed']})")
     return 0 if payload["all_passed"] else 1
 
@@ -207,33 +193,28 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def cmd_sweep(cfg: dict, args) -> int:
-    seed = _root_seed(cfg, args)
-    out = _out_dir(cfg, args)
+def cmd_sweep(cfg: dict, seed: int, out: Path) -> int:
     entries = cfg.get("sweep", [])
     if not entries:
         raise cfgmod.ConfigError("sweep: no entries")
+    base = cfg.get("training", {})
     runs = []
     for i, entry in enumerate(entries):
-        merged = json.loads(json.dumps(cfg))  # deep copy
-        merged.pop("sweep")
-        training = merged.setdefault("training", {})
-        for key, value in entry.get("training", {}).items():
-            if key == "perturb":
-                training.setdefault("perturb", {}).update(value)
-            else:
-                training[key] = value
+        override = entry.get("training", {})
+        training = {**base, **override, "perturb": {**base.get("perturb", {}), **override.get("perturb", {})}}
         # every entry is checked before the first one trains
         try:
-            tcfg = cfgmod.training_config(merged, seed)
+            tcfg = cfgmod.training_config({"training": training}, seed)
         except cfgmod.ConfigError as err:
             raise cfgmod.ConfigError(f"sweep[{i}].{err}") from err
-        runs.append((entry.get("name", f"run{i}"), merged, tcfg))
+        runs.append((entry.get("name", f"run{i}"), tcfg))
+    splits = _load_dataset(cfg, out, seed)
+    spec = _model_spec(cfg, splits)
     rows = []
-    for name, merged, tcfg in runs:
+    for name, tcfg in runs:
         t0 = time.time()
-        splits, result = _train_once(merged, out, seed)
-        report = _eval_report(merged, splits, result.params, seed)
+        result = run_training(splits, tcfg, spec=spec)
+        report = _eval_report(cfg, splits, result.params, seed)
         rows.append(
             {
                 "name": name,
@@ -252,7 +233,7 @@ def cmd_sweep(cfg: dict, args) -> int:
             }
         )
         print(f"[{name}] method={tcfg.method} wg={report.wg_acc:.4f} ({time.time() - t0:.1f}s)")
-    _write_csv(out / "sweep.csv", {"config_hash": cfgmod.config_hash(cfg), "seed": seed}, _SWEEP_COLUMNS, rows)
+    _write_csv(out / "sweep.csv", _meta(cfg, seed), _SWEEP_COLUMNS, rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return 0
 
@@ -276,7 +257,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = cfgmod.load(args.config)
-        return _COMMANDS[args.subcommand](cfg, args)
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        out = Path(args.out or cfg.get("out_dir", "mlx-runs"))
+        out.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.subcommand](cfg, seed, out)
     except cfgmod.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -8,11 +8,10 @@ Top-level keys (all optional unless a subcommand needs them):
     model    {hidden: [..]}
     training {method, lam, beta, eps_max, ramp_fraction, lr, batch_size,
               epochs, clamp: [lo, hi] | null,
-              perturb: {sigma, k_samples, kappa, steps, step_size, alpha,
-                        random_start}}
-    eval     {rcs, rcs_sigma, saliency, grid_range: [[x1lo,x1hi],[x2lo,x2hi]],
+              perturb: {sigma, k_samples, kappa, steps, alpha}}
+    eval     {rcs, rcs_sigma, grid_range: [[x1lo,x1hi],[x2lo,x2hi]],
               grid_resolution}
-    gp_verify{thm1_trials, thm2_trials, psd_trials, seed}
+    gp_verify{thm1_trials, thm2_trials, psd_trials}   trials draw from the root seed
     sweep    [{name, training: {overrides}}, ...]
 
 Unknown keys anywhere are rejected with the offending path, so typos
@@ -60,19 +59,16 @@ _SCHEMA = {
             "k_samples": int,
             "kappa": float,
             "steps": int,
-            "step_size": (float, type(None)),
             "alpha": float,
-            "random_start": bool,
         },
     },
     "eval": {
         "rcs": bool,
         "rcs_sigma": float,
-        "saliency": bool,
         "grid_range": list,
         "grid_resolution": int,
     },
-    "gp_verify": {"thm1_trials": int, "thm2_trials": int, "psd_trials": int, "seed": int},
+    "gp_verify": {"thm1_trials": int, "thm2_trials": int, "psd_trials": int},
     "sweep": list,
 }
 

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binfile import Reader, write_header, write_text
+from .binfile import Reader, replacing, write_header, write_text
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -154,10 +154,10 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) 
     count, rows, cols = images.shape
     if labels.shape != (count,):
         raise ValueError("labels must be (n,) matching images")
-    with open(images_path, "wb") as f:
+    with replacing(images_path) as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, count, rows, cols))
         f.write(np.round(images * 255.0).astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as f:
+    with replacing(labels_path) as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, count))
         f.write(labels.astype(np.uint8).tobytes())
 
@@ -332,14 +332,13 @@ def build_decoy_mnist(
     """Decoy composition over a raw digit corpus.
 
     Validation is carved from the (shuffled) training pool; its decoys
-    are randomized like the test split's. Pass n_train=-1 to use all
-    available data (10% of train carved for validation).
+    are randomized like the test split's. Every split size must be at
+    least 1 and fit in its pool.
     """
+    if min(n_train, n_val, n_test) < 1:
+        raise ValueError(f"split sizes must be >= 1, got n_train={n_train}, n_val={n_val}, n_test={n_test}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDEC0]))
     pool = train_images.shape[0]
-    if n_train == -1:
-        n_val = pool // 10
-        n_train = pool - n_val
     if n_train + n_val > pool:
         raise ValueError(f"requested {n_train}+{n_val} examples from a pool of {pool}")
     if n_test > test_images.shape[0]:
@@ -361,7 +360,7 @@ def build_decoy_mnist(
 
 def save_cache(path, splits: DatasetSplits, seed: int = 0, config_hash: str = "") -> None:
     d = splits.train.x.shape[1]
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         write_header(f, CACHE_MAGIC, CACHE_VERSION, seed, config_hash)
         write_text(f, splits.name)
         f.write(struct.pack("<I", d))

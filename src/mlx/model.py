@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .binfile import Reader, write_header
+from .binfile import Reader, replacing, write_header
 
 MAGIC = b"MLXW"
 VERSION = 1
@@ -137,7 +137,7 @@ def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def save_checkpoint(path, params: ModelParams, seed: int = 0, config_hash: str = "") -> None:
     sizes = params.sizes()
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         write_header(f, MAGIC, VERSION, seed, config_hash)
         f.write(struct.pack("<I", len(sizes)))
         f.write(struct.pack(f"<{len(sizes)}I", *sizes))

@@ -25,9 +25,7 @@ class PerturbConfig:
     k_samples: int = 4  # draws per example (avg)
     kappa: float = 0.3  # l-inf radius (pgd)
     steps: int = 7
-    step_size: float | None = None  # defaults to kappa / 4
     alpha: float = 1.0
-    random_start: bool = False
 
     def __post_init__(self):
         if self.method not in ("avg", "pgd"):
@@ -36,10 +34,6 @@ class PerturbConfig:
             raise ValueError("sigma and kappa must be >= 0")
         if self.k_samples < 1 or self.steps < 1:
             raise ValueError("k_samples and steps must be >= 1")
-        if self.step_size is None:
-            self.step_size = self.kappa / 4.0
-        if self.step_size < 0:
-            raise ValueError("step_size must be >= 0")
 
 
 def masked_noise_loss_graph(ptensors, x, y, m, cfg: PerturbConfig, rng: np.random.Generator) -> ad.Tensor:
@@ -48,7 +42,7 @@ def masked_noise_loss_graph(ptensors, x, y, m, cfg: PerturbConfig, rng: np.rando
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     total = None
     for _ in range(cfg.k_samples):
-        eps = rng.normal(0.0, cfg.sigma, size=x.shape) if cfg.sigma > 0 else np.zeros_like(x)
+        eps = rng.normal(0.0, cfg.sigma, size=x.shape)
         xj = ad.tensor(x + eps * m)
         term = ad.cross_entropy(logits_graph(ptensors, xj), y, reduction="sum")
         total = term if total is None else ad.add(total, term)
@@ -61,18 +55,17 @@ def pgd_attack(
     y,
     m,
     kappa: float,
-    steps: int = 7,
+    steps: int,
     step_size: float | None = None,
     clamp: tuple[float, float] | None = None,
-    rng: np.random.Generator | None = None,
-    random_start: bool = False,
 ) -> np.ndarray:
     """Best masked l-inf perturbation found by sign-gradient ascent.
 
     ``params`` is a ModelParams or the graph leaves of one.
     Returns delta with |delta|_inf <= kappa and delta == 0 off-mask.
-    Deterministic zero init unless random_start (then rng is required).
-    Per example, the iterate with the highest loss seen is returned.
+    The ascent starts from the zero perturbation and takes steps of
+    ``step_size`` (kappa / 4 when None). Per example, the iterate with
+    the highest loss seen is returned.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
@@ -89,17 +82,11 @@ def pgd_attack(
             delta = np.clip(x + delta, clamp[0], clamp[1]) - x
         return delta * on_mask
 
-    if random_start:
-        if rng is None:
-            raise ValueError("random_start requires an rng")
-        delta = project(rng.uniform(-kappa, kappa, size=x.shape))
-    else:
-        delta = np.zeros_like(x)
-
     def example_losses(delta):
         xt = ad.tensor(x + delta)
         return xt, ad.cross_entropy(logits_graph(pt, xt), y, reduction="none")
 
+    delta = np.zeros_like(x)
     # each iterate's forward pass serves both its loss and its gradient
     best_delta = delta.copy()
     xt, losses = example_losses(delta)

@@ -147,10 +147,7 @@ def total_loss_graph(
         robust = perturb.masked_noise_loss_graph(ptensors, x, y, m, cfg.perturb, noise_rng)
     elif method in ("pgd-ex", "pgd+grad"):
         pcfg = cfg.perturb
-        delta = perturb.pgd_attack(
-            ptensors, x, y, m, pcfg.kappa, pcfg.steps, pcfg.step_size,
-            clamp=cfg.clamp, rng=noise_rng, random_start=pcfg.random_start,
-        )
+        delta = perturb.pgd_attack(ptensors, x, y, m, pcfg.kappa, pcfg.steps, clamp=cfg.clamp)
         robust = perturb.adversarial_loss_graph(ptensors, x, y, delta, pcfg.alpha)
     elif method in ("ibp-ex", "ibp+grad"):
         eps = eps_schedule(cfg, step_fraction)

@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mlx import cli
+from mlx import cli, data
 from mlx.config import ConfigError, config_hash, load, validate
 
 
@@ -58,6 +59,15 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def tiny_decoy_block(folder):
+    """A decoy dataset block over a 20-image corpus saved under the real-corpus file names."""
+    folder.mkdir()
+    images, labels = np.zeros((20, 28, 28)), np.arange(20) % 10
+    for prefix in ("train", "t10k"):
+        data.write_idx(folder / f"{prefix}-images-idx3-ubyte", folder / f"{prefix}-labels-idx1-ubyte", images, labels)
+    return {"name": "decoy", "data_dir": str(folder), "n_train": 10, "n_val": 5, "n_test": 5}
+
+
 @pytest.mark.parametrize(
     "block, key, value, field",
     [
@@ -69,15 +79,25 @@ def run_cli(*argv):
         ("training", "clamp", [0], "training: clamp"),
         ("training", "clamp", [0, 1, 2], "training: clamp"),
         ("training", "clamp", ["a", "b"], "training: clamp"),
+        ("dataset", "n", 50, "dataset: n must be >= 100"),
+        ("dataset", "n_train", -1, "dataset: split sizes must be >= 1"),
+        ("dataset", "n_test", -3, "dataset: split sizes must be >= 1"),
     ],
-    ids=["method", "epochs", "batch_size", "hidden", "clamp-reversed", "clamp-short", "clamp-long", "clamp-text"],
+    ids=[
+        "method", "epochs", "batch_size", "hidden", "clamp-reversed", "clamp-short", "clamp-long", "clamp-text",
+        "toy-n", "decoy-n_train", "decoy-n_test",
+    ],
 )
 def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, block, key, value, field):
     out = str(tmp_path / "run")
     assert run_cli("gen-data", "--config", write_config(tmp_path, TOY), "--out", out) == 0
     doc = json.loads(json.dumps(TOY))
+    if key in ("n_train", "n_test"):
+        doc["dataset"] = tiny_decoy_block(tmp_path / "digits")
     doc[block][key] = value
-    assert run_cli("train", "--config", write_config(tmp_path, doc, "bad.json"), "--out", out) == 2
+    # dataset sizes are checked when the cache is built, the rest when training
+    command = "gen-data" if block == "dataset" else "train"
+    assert run_cli(command, "--config", write_config(tmp_path, doc, "bad.json"), "--out", out) == 2
     assert f"config error: {field}" in capsys.readouterr().err
 
 

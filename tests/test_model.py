@@ -7,6 +7,7 @@ from mlx import autodiff as ad
 from mlx.binfile import FileFormatError
 from mlx.model import (
     MlpSpec,
+    ModelParams,
     init_params,
     linear_model,
     load_checkpoint,
@@ -126,6 +127,19 @@ def test_checkpoint_truncated_at_every_offset_names_the_file(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(FileFormatError, match=re.escape(str(path))):
             load_checkpoint(path)
+
+
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "model.bin"
+    params = init_params(MlpSpec(3, (4,), 2), 0)
+    save_checkpoint(path, params, seed=1, config_hash="abc")
+    bad = ModelParams([np.full(w.shape, "x") for w in params.weights], params.biases)
+    with pytest.raises(ValueError):  # the weights fail to cast after the header is written
+        save_checkpoint(path, bad, seed=2, config_hash="def")
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"seed": 1, "config_hash": "abc"}
+    assert all(np.array_equal(a, b) for a, b in zip(params.flat(), loaded.flat()))
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
 
 def test_predict_shape_mismatch():

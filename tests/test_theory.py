@@ -133,6 +133,14 @@ def test_thm2_trials_all_pass():
     assert result["pass_rate"] == 1.0
 
 
+@pytest.mark.parametrize("seed", [4, 19, 21, 27, 38])
+def test_thm2_trials_pass_on_seeds_with_an_uncovered_column(seed):
+    # each seed draws a trial whose low-loss set meets every x2 row but not every x1 column
+    result = theory.run_thm2_trials(100, seed)
+    assert result["n_checked"] == 100
+    assert result["passed"]
+
+
 def test_thm2_bound_linear_in_coverage():
     # rhs = 2 C delta_max f_max / theta^2: doubling C doubles the bound
     rng = np.random.default_rng(5)
