@@ -34,11 +34,6 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible with the op."""
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
-
-
 def _checked(data: np.ndarray, op: str) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite value produced by op '{op}'")
@@ -57,7 +52,7 @@ class Tensor:
     __slots__ = ("data", "op", "parents", "aux", "_transposed")
 
     def __init__(self, data, op: str = "const", parents: tuple = (), aux: tuple = ()):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.op = op
         self.parents = parents
         self.aux = aux
@@ -80,7 +75,7 @@ class Tensor:
 
 def tensor(value) -> Tensor:
     """Wrap an array-like as a leaf tensor."""
-    arr = _as_array(value)
+    arr = np.asarray(value, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("leaf tensor holds non-finite values")
     return Tensor(arr)

@@ -24,7 +24,8 @@ import numpy as np
 
 
 class FileFormatError(ValueError):
-    """A damaged or stale binary file; the message starts with its path."""
+    """A damaged or stale binary file, or one the command cannot use; the
+    message starts with its path."""
 
 
 @contextmanager
@@ -42,16 +43,11 @@ def replacing(path, mode: str = "wb"):
             os.remove(tmp)
 
 
-def write_text(f, text: str) -> None:
-    raw = text.encode("utf-8")
-    f.write(struct.pack("<I", len(raw)))
-    f.write(raw)
-
-
 def write_header(f, magic: bytes, version: int, seed: int, config_hash: str) -> None:
+    raw = config_hash.encode("utf-8")
     f.write(magic)
-    f.write(struct.pack("<IQ", version, seed))
-    write_text(f, config_hash)
+    f.write(struct.pack("<IQI", version, seed, len(raw)))
+    f.write(raw)
 
 
 class Reader:

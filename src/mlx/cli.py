@@ -12,7 +12,10 @@ output directory; their file names embed the dataset-block hash, so
 train/eval locate them without extra bookkeeping. Every output file
 records the config hash and root seed (JSON ``meta`` object, or a
 leading ``#`` line in CSVs); reruns with identical config and seed
-produce byte-identical files.
+produce byte-identical files. The checkpoint instead records the hash
+of the dataset, model and training blocks, and eval and boundary-dump
+refuse a checkpoint whose seed or hash differs from theirs; edits to
+the eval block leave it valid.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ from .train import train as run_training
 
 def _meta(cfg: dict, seed: int) -> dict:
     return {"config_hash": cfgmod.config_hash(cfg), "seed": seed}
+
+
+def _checkpoint_meta(cfg: dict, seed: int) -> dict:
+    """Seed and hash of the blocks that decide a checkpoint's weights."""
+    blocks = {k: cfg.get(k, {}) for k in ("dataset", "model", "training")}
+    return {"config_hash": cfgmod.config_hash(blocks), "seed": seed}
 
 
 def _write_csv(path, header_meta: dict, columns: list[str], rows: list[dict]) -> None:
@@ -112,17 +121,30 @@ def cmd_gen_data(cfg: dict, seed: int, out: Path) -> int:
 def cmd_train(cfg: dict, seed: int, out: Path) -> int:
     splits = _load_dataset(cfg, out, seed)
     result = run_training(splits, cfgmod.training_config(cfg, seed), spec=_model_spec(cfg, splits))
-    meta = _meta(cfg, seed)
-    save_checkpoint(out / "checkpoint.bin", result.params, **meta)
+    save_checkpoint(out / "checkpoint.bin", result.params, **_checkpoint_meta(cfg, seed))
     _write_csv(
         out / "history.csv",
-        meta,
+        _meta(cfg, seed),
         ["epoch", "train_loss", "robust_loss", "reg_loss", "val_avg_acc", "val_wg_acc"],
         result.history,
     )
     best = result.history[result.best_epoch]
     print(f"wrote {out / 'checkpoint.bin'} (best val wg acc {best['val_wg_acc']:.4f} at epoch {result.best_epoch})")
     return 0
+
+
+def _load_checkpoint(cfg: dict, seed: int, out: Path):
+    """The trained parameters; a checkpoint trained under another seed or
+    dataset, model or training block raises FileFormatError naming it."""
+    path = out / "checkpoint.bin"
+    params, meta = load_checkpoint(path)
+    expected = _checkpoint_meta(cfg, seed)
+    if meta != expected:
+        raise FileFormatError(
+            f"{path}: trained under seed {meta['seed']} and hash {meta['config_hash']}, not seed {seed} and hash "
+            f"{expected['config_hash']} of this config's dataset, model and training blocks; rerun `mlx train`"
+        )
+    return params
 
 
 def _eval_report(cfg: dict, splits: data.DatasetSplits, params, seed: int) -> metrics.MetricsReport:
@@ -138,7 +160,7 @@ def _eval_report(cfg: dict, splits: data.DatasetSplits, params, seed: int) -> me
 
 def cmd_eval(cfg: dict, seed: int, out: Path) -> int:
     splits = _load_dataset(cfg, out, seed)
-    params, _ = load_checkpoint(out / "checkpoint.bin")
+    params = _load_checkpoint(cfg, seed, out)
     report = _eval_report(cfg, splits, params, seed)
     _write_json(out / "metrics.json", _meta(cfg, seed), report.as_dict())
     print(f"wrote {out / 'metrics.json'} (avg {report.avg_acc:.4f}, wg {report.wg_acc:.4f})")
@@ -146,11 +168,14 @@ def cmd_eval(cfg: dict, seed: int, out: Path) -> int:
 
 
 def cmd_boundary_dump(cfg: dict, seed: int, out: Path) -> int:
-    params, _ = load_checkpoint(out / "checkpoint.bin")
+    params = _load_checkpoint(cfg, seed, out)
     eval_cfg = cfg.get("eval", {})
     (x1r, x2r) = eval_cfg.get("grid_range", [[-4.0, 4.0], [-3.0, 3.0]])
     res = int(eval_cfg.get("grid_resolution", 81))
-    grid = metrics.boundary_grid(params, x1r, x2r, res)
+    try:
+        grid = metrics.boundary_grid(params, x1r, x2r, res)
+    except ValueError as err:  # the config is valid, so the model's input dim is at fault
+        raise FileFormatError(f"{out / 'checkpoint.bin'}: {err}") from err
     rows = []
     for i, a in enumerate(grid.x1):
         for j, b in enumerate(grid.x2):

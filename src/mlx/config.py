@@ -15,7 +15,10 @@ Top-level keys (all optional unless a subcommand needs them):
     sweep    [{name, training: {overrides}}, ...]
 
 Unknown keys anywhere are rejected with the offending path, so typos
-fail loudly instead of silently running a default.
+fail loudly instead of silently running a default. Out-of-range values
+are rejected the same way: eval.rcs_sigma must be > 0, each grid_range
+pair must have lo < hi, and grid_resolution and every *_trials count
+must be >= 1 (training values are checked by TrainingConfig).
 """
 
 from __future__ import annotations
@@ -113,6 +116,19 @@ def validate(raw: dict) -> dict:
     hidden = raw.get("model", {}).get("hidden")
     if hidden is not None and (not hidden or any(type(h) is not int or h < 1 for h in hidden)):
         raise ConfigError(f"model.hidden: expected a non-empty list of positive integers, got {hidden!r}")
+    ev = raw.get("eval", {})
+    if ev.get("rcs_sigma", 1) <= 0:
+        raise ConfigError(f"eval.rcs_sigma: must be > 0, got {ev['rcs_sigma']!r}")
+    grid = ev.get("grid_range", [[0, 1], [0, 1]])
+    if len(grid) != 2 or not all(
+        isinstance(r, list) and len(r) == 2 and all(type(v) in (int, float) for v in r) and r[0] < r[1] for r in grid
+    ):
+        raise ConfigError(f"eval.grid_range: expected two [lo, hi] number pairs with lo < hi, got {grid!r}")
+    counts = {"eval.grid_resolution": ev.get("grid_resolution", 1)}
+    counts.update((f"gp_verify.{k}", v) for k, v in raw.get("gp_verify", {}).items())
+    for field, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{field}: must be >= 1, got {value}")
     return raw
 
 

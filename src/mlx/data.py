@@ -23,8 +23,7 @@ real digit corpus is available a deterministic synthetic stroke-glyph
 corpus is rendered and written through the same IDX files.
 
 Cache file layout (little-endian):
-    header   magic b'MLXD', version 2, seed, config hash, as in ``binfile``
-    name_len u32 + utf-8 dataset name
+    header   magic b'MLXD', version 3, seed, config hash, as in ``binfile``
     feature_dim u32
     3 splits (train, val, test), each:
         count u32
@@ -42,12 +41,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .binfile import Reader, replacing, write_header, write_text
+from .binfile import Reader, replacing, write_header
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CACHE_MAGIC = b"MLXD"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 # 10 decoy colors: a maximal-separation spherical code of radius 0.5 around
 # mid-gray, so every color is linearly separable from the rest (a linear
@@ -85,7 +84,6 @@ class DatasetSplits:
     train: Split
     val: Split
     test: Split
-    name: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +119,6 @@ def gen_toy2d(n: int, seed: int) -> DatasetSplits:
         train=_toy_sample(n_train, rng),
         val=_toy_sample(n_val, rng),
         test=_toy_sample(n - n_train - n_val, rng),
-        name="toy2d",
     )
 
 
@@ -143,7 +140,7 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
             raise r.error(f"bad IDX magic {magic:#010x}")
         labels = r.array(np.uint8, n_labels)
     if n_labels != count:
-        raise ValueError(f"image/label count mismatch: {count} images, {n_labels} labels")
+        raise r.error(f"count mismatch: {n_labels} labels for the {count} images in {images_path}")
     return images.astype(np.float64) / 255.0, labels.astype(np.int64)
 
 
@@ -202,8 +199,8 @@ _SEGMENT_CACHE = {d: _segment_points(d) for d in range(10)}
 def _render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
     """One randomized 28x28 grayscale glyph.
 
-    Randomization: global subpixel shift, per-segment endpoint jitter,
-    stroke width and intensity jitter, additive pixel noise, and an
+    Randomization: global subpixel shift, per-segment endpoint offsets,
+    random stroke width and intensity, additive pixel noise, and an
     occasional dropped stroke. The dropout makes a slice of renderings
     genuinely ambiguous, which keeps achievable accuracy below 100%.
     """
@@ -213,10 +210,10 @@ def _render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
     ramp = np.linspace(0, 1, _SEGMENT_POINTS)[:, None]
     parts = []
     for i, seg in enumerate(segments):
-        jitter = rng.normal(0.0, 0.7, size=(2, 2))  # endpoint displacements
+        offsets = rng.normal(0.0, 0.7, size=(2, 2))  # endpoint displacements
         if i == drop:
             continue
-        parts.append(seg + shift + (1 - ramp) * jitter[0] + ramp * jitter[1])
+        parts.append(seg + shift + (1 - ramp) * offsets[0] + ramp * offsets[1])
     pts = np.concatenate(parts)
     sigma = rng.uniform(0.5, 1.1)
     intensity = rng.uniform(0.55, 1.0)
@@ -278,18 +275,13 @@ def ensure_digit_corpus(data_dir, seed: int = 0, n_train: int = 16000, n_test: i
 # ---------------------------------------------------------------------------
 # decoy construction
 
-def _squeeze_cols(images: np.ndarray) -> np.ndarray:
-    """28xW -> 28x(W/2) by nearest-neighbor column subsampling."""
-    return images[:, :, ::2]
-
-
 def _compose_decoy(
     digits: np.ndarray, color_labels: np.ndarray, sides: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack digit halves and constant color halves into flat (n, 2352)
     arrays plus masks over the decoy half."""
     n = digits.shape[0]
-    half = _squeeze_cols(digits)  # (n, 28, 14)
+    half = digits[:, :, ::2]  # (n, 28, 14): every other column
     img = np.zeros((n, 3, 28, 28))
     mask = np.zeros((n, 3, 28, 28))
     colors = DECOY_COLORS[color_labels]  # (n, 3)
@@ -351,7 +343,6 @@ def build_decoy_mnist(
         train=_decoy_split(train_images[tr_idx], train_labels[tr_idx], rng, randomize_decoy=False),
         val=_decoy_split(train_images[va_idx], train_labels[va_idx], rng, randomize_decoy=True),
         test=_decoy_split(test_images[te_idx], test_labels[te_idx], rng, randomize_decoy=True),
-        name="decoy",
     )
 
 
@@ -362,7 +353,6 @@ def save_cache(path, splits: DatasetSplits, seed: int = 0, config_hash: str = ""
     d = splits.train.x.shape[1]
     with replacing(path) as f:
         write_header(f, CACHE_MAGIC, CACHE_VERSION, seed, config_hash)
-        write_text(f, splits.name)
         f.write(struct.pack("<I", d))
         for split in (splits.train, splits.val, splits.test):
             f.write(struct.pack("<I", len(split)))
@@ -374,12 +364,11 @@ def save_cache(path, splits: DatasetSplits, seed: int = 0, config_hash: str = ""
 
 def load_cache(path) -> tuple[DatasetSplits, dict]:
     """Splits plus ``{seed, config_hash}``; a damaged or stale file
-    (including every version-1 cache) raises FileFormatError naming the
+    (including every version-1 or version-2 cache) raises FileFormatError naming the
     path; ``mlx gen-data`` rewrites it."""
     with open(path, "rb") as f:
         r = Reader(f, path)
         seed, config_hash = r.header(CACHE_MAGIC, CACHE_VERSION, "dataset cache")
-        name = r.text()
         (d,) = r.unpack("<I")
         packed_w = (d + 7) // 8
         parts = []
@@ -392,4 +381,4 @@ def load_cache(path) -> tuple[DatasetSplits, dict]:
             m = np.unpackbits(m_bits, axis=1)[:, :d].astype(np.float64)
             parts.append(Split(x, y, m, group))
         r.end()
-    return DatasetSplits(*parts, name=name), {"seed": seed, "config_hash": config_hash}
+    return DatasetSplits(*parts), {"seed": seed, "config_hash": config_hash}

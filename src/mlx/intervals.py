@@ -35,10 +35,6 @@ class BoxInterval:
         if np.any(self.upper - self.lower < 0):
             raise ValueError("box has upper < lower")
 
-    @property
-    def shape(self):
-        return self.lower.shape
-
 
 def input_box(x, m, kappa: float, clamp: tuple[float, float] | None = None) -> BoxInterval:
     """Per-example box [x - kappa*m, x + kappa*m], optionally clamped to a data range."""

@@ -96,7 +96,7 @@ class BoundaryGrid:
 def boundary_grid(params: ModelParams, x1_range, x2_range, resolution: int) -> BoundaryGrid:
     """Dense label/logit grid for a 2-D model plus the column flip fraction."""
     if params.input_dim != 2:
-        raise ValueError("boundary_grid needs a 2-D input model")
+        raise ValueError(f"boundary_grid needs a 2-input model, not {params.input_dim}")
     x1 = np.linspace(x1_range[0], x1_range[1], resolution)
     x2 = np.linspace(x2_range[0], x2_range[1], resolution)
     g1, g2 = np.meshgrid(x1, x2, indexing="ij")

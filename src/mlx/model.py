@@ -7,7 +7,8 @@ Default architectures:
 
 Checkpoint file layout (all little-endian):
     header   magic b'MLXW', version 1, seed, config hash (may be
-             empty), as in ``binfile``
+             empty; ``mlx train`` writes the hash of the dataset, model
+             and training blocks), as in ``binfile``
     n_sizes  u32, then n_sizes u32 layer sizes (input, hidden..., classes)
     per layer: weight matrix (fan_in*fan_out f64, row-major), bias (fan_out f64)
 """

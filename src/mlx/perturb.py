@@ -30,8 +30,8 @@ class PerturbConfig:
     def __post_init__(self):
         if self.method not in ("avg", "pgd"):
             raise ValueError(f"unknown perturbation method {self.method!r}")
-        if self.sigma < 0 or self.kappa < 0:
-            raise ValueError("sigma and kappa must be >= 0")
+        if min(self.sigma, self.kappa, self.alpha) < 0:
+            raise ValueError("sigma, kappa and alpha must be >= 0")
         if self.k_samples < 1 or self.steps < 1:
             raise ValueError("k_samples and steps must be >= 1")
 

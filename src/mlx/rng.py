@@ -1,8 +1,11 @@
 """Deterministic named random streams derived from one root seed.
 
-Every stochastic component (data synthesis, init, noise draws, PGD
-random starts, metric noise) pulls its own stream by name, so methods
-that share components see identical draws and reruns are bit-identical.
+Training (init, shuffling, noise draws) and the noise-sensitivity
+score pull their own streams by name, so methods that share components
+see identical draws and reruns are bit-identical. Data synthesis in
+``data`` and the trial runners in ``theory`` seed their generators
+directly from the seed plus a fixed per-builder tag, the same
+``SeedSequence`` construction without the name lookup.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 Setting: 2-D regression under a squared-exponential GP prior with
 per-dimension length scales theta_1, theta_2 and a Gamma(alpha, beta)
 prior on each theta_i^{-2}. Observations are function values y_n plus
-derivative observations dy2_n = df/dx2 at every training point
-(typically 0: the second coordinate is the irrelevant feature).
+a zero derivative observation df/dx2 = 0 at every training point (the
+second coordinate is the irrelevant feature).
 
 Closed forms implemented here, with d(a, b) = (a - b)^2 / 2 and
-ytilde = Khat^{-1} yhat evaluated at fixed reference length scales:
+ytilde = Khat^{-1} [y; 0] evaluated at unit reference length scales
+theta_1 = theta_2 = 1:
 
 * marginalised posterior mean
     f(x) = sum_n (1 + d(x1, x1n)/beta)^-alpha (1 + d(x2, x2n)/beta)^-alpha
@@ -78,43 +79,30 @@ def augmented_kernel(points: np.ndarray, theta1: float, theta2: float) -> np.nda
 
 @dataclass
 class GpSetup:
-    """Training data and hyperparameters for the marginalised posterior."""
+    """Training data and Gamma hyperparameters for the marginalised posterior."""
 
     points: np.ndarray  # (N, 2)
     y: np.ndarray  # (N,) value observations
-    dy2: np.ndarray | None = None  # (N,) derivative observations; default zeros
-    alpha: float = 1.0  # Gamma shape
-    beta: float = 1.0  # Gamma rate
-    theta_ref: tuple[float, float] = (1.0, 1.0)  # scales at which ytilde is solved
-    jitter: float = 1e-8
-    _ytilde: np.ndarray = field(default=None, repr=False)
+    alpha: float  # Gamma shape
+    beta: float  # Gamma rate
+    ytilde: np.ndarray = field(init=False, repr=False)  # Khat^{-1} [y; 0] at unit scales
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         self.y = np.asarray(self.y, dtype=np.float64).reshape(-1)
-        if self.dy2 is None:
-            self.dy2 = np.zeros_like(self.y)
-        self.dy2 = np.asarray(self.dy2, dtype=np.float64).reshape(-1)
         if min(self.alpha, self.beta) <= 0:
             raise ValueError("Gamma hyperparameters must be positive")
         n = self.points.shape[0]
-        if self.y.shape != (n,) or self.dy2.shape != (n,):
-            raise ValueError("y and dy2 must match the number of training points")
-
-    def ytilde(self) -> np.ndarray:
-        """Khat^{-1} [y; dy2] at the reference length scales, cached."""
-        if self._ytilde is None:
-            khat = augmented_kernel(self.points, *self.theta_ref)
-            khat = khat + self.jitter * np.eye(khat.shape[0])
-            yhat = np.concatenate([self.y, self.dy2])
-            self._ytilde = np.linalg.solve(khat, yhat)
-        return self._ytilde
+        if self.y.shape != (n,):
+            raise ValueError("y must match the number of training points")
+        khat = augmented_kernel(self.points, 1.0, 1.0) + 1e-8 * np.eye(2 * n)
+        self.ytilde = np.linalg.solve(khat, np.concatenate([self.y, np.zeros(n)]))
 
 
 def gp_posterior_mean_marginalized(setup: GpSetup, query) -> np.ndarray | float:
     """Posterior mean with the Gamma prior integrated out of both length scales."""
     q = np.atleast_2d(np.asarray(query, dtype=np.float64))
-    yt = setup.ytilde()
+    yt = setup.ytilde
     n = setup.points.shape[0]
     a, b = setup.alpha, setup.beta
     d1 = 0.5 * (q[:, None, 0] - setup.points[None, :, 0]) ** 2
@@ -140,7 +128,7 @@ def thm1_gap_and_bound(setup: GpSetup, x, delta: float) -> tuple[float, float]:
         gp_posterior_mean_marginalized(setup, x + np.array([0.0, delta]))
         - gp_posterior_mean_marginalized(setup, x)
     )
-    yt = setup.ytilde()
+    yt = setup.ytilde
     n = setup.points.shape[0]
     a, b = setup.alpha, setup.beta
     d1 = 0.5 * (x[0] - setup.points[:, 0]) ** 2
@@ -160,8 +148,6 @@ def thm1_gap_and_bound(setup: GpSetup, x, delta: float) -> tuple[float, float]:
 
 @dataclass
 class CoverageQuery:
-    phi: float
-    covered: np.ndarray  # boolean over the grid
     c: float  # worst Euclidean distance to the covered set (nan if empty)
     delta_max: float  # worst x2 distance to the training points
     f_max: float  # largest function value on the grid
@@ -184,21 +170,7 @@ def coverage_estimate(grid: np.ndarray, losses: np.ndarray, f_values: np.ndarray
     else:
         c = math.nan  # undefined: nothing satisfies the loss threshold
     delta_max = float(np.max(np.min(np.abs(x2[:, None] - train_x2[None, :]), axis=1)))
-    return CoverageQuery(phi, covered, c, delta_max, float(np.max(f_values)))
-
-
-def gp_fixed_posterior(points: np.ndarray, y: np.ndarray, theta: float, jitter: float = 1e-8):
-    """Noise-free plain-value GP posterior mean at one shared length scale."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    k = se_kernel(points, points, theta, theta) + jitter * np.eye(points.shape[0])
-    weights = np.linalg.solve(k, y)
-
-    def mean(query):
-        q = np.atleast_2d(np.asarray(query, dtype=np.float64))
-        return se_kernel(q, points, theta, theta) @ weights
-
-    return mean
+    return CoverageQuery(c, delta_max, float(np.max(f_values)))
 
 
 def thm2_check(
@@ -209,22 +181,24 @@ def thm2_check(
     target_values: np.ndarray,
     delta: float,
     phi: float,
-    jitter: float = 1e-8,
 ) -> tuple[float, float, CoverageQuery]:
     """Worst observed deviation under an x2 shift of delta versus the
-    coverage bound 2 C delta_max f_max / theta^2, on a fixed-theta GP fit.
+    coverage bound 2 C delta_max f_max / theta^2, on a noise-free
+    plain-value GP fit at one shared length scale theta.
 
     The low-loss set is defined by squared error against
     ``target_values`` on the grid.
     """
-    mean = gp_fixed_posterior(points, y, theta, jitter)
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    k = se_kernel(points, points, theta, theta) + 1e-8 * np.eye(points.shape[0])
+    weights = np.linalg.solve(k, np.asarray(y, dtype=np.float64).reshape(-1))
     grid = np.atleast_2d(grid)
-    f = mean(grid)
+    f = se_kernel(grid, points, theta, theta) @ weights
     losses = (f - np.asarray(target_values).reshape(-1)) ** 2
     query = coverage_estimate(grid, losses, f, points[:, 1], phi)
     if math.isnan(query.c):
         return math.nan, math.nan, query
-    shifted = mean(grid + np.array([0.0, delta]))
+    shifted = se_kernel(grid + np.array([0.0, delta]), points, theta, theta) @ weights
     lhs = float(np.max(np.abs(shifted - f)))
     rhs = float(2.0 * query.c * query.delta_max * query.f_max / theta**2)
     return lhs, rhs, query
@@ -270,13 +244,13 @@ def prop1_weights_empirical(
     k_precision: float,
     n_samples: int,
     rng: np.random.Generator,
-    label_scale: float = 30.0,
 ) -> np.ndarray:
     """Sampling oracle: least squares on synthetic noise-augmented data.
 
-    Targets are drawn wide (scale >> noise) to emulate the flat prior.
+    Targets are drawn at scale 30, far wider than the unit noise, to
+    emulate the flat prior.
     """
-    y = rng.normal(0.0, label_scale, size=n_samples)
+    y = rng.normal(0.0, 30.0, size=n_samples)
     x = np.empty((n_samples, d_irrelevant + 1))
     x[:, :d_irrelevant] = y[:, None] + rng.normal(size=(n_samples, d_irrelevant))
     x[:, d_irrelevant] = y + rng.normal(0.0, 1.0 / math.sqrt(k_precision), size=n_samples)
@@ -324,11 +298,10 @@ def _random_thm1_setup(rng: np.random.Generator) -> tuple[GpSetup, np.ndarray, f
         setup = GpSetup(
             points=pts,
             y=rng.uniform(0.2, 1.0, size=n),
-            dy2=np.zeros(n),
             alpha=float(rng.uniform(0.5, 2.0)),
             beta=float(rng.uniform(0.5, 2.0)),
         )
-        if np.min(setup.ytilde()[:n]) >= 0:
+        if np.min(setup.ytilde[:n]) >= 0:
             break
     while True:
         x = rng.uniform(-1.0, 1.0, size=2)

@@ -58,8 +58,9 @@ class TrainingConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if min(self.lam, self.beta) < 0:
-            raise ValueError("lam and beta must be >= 0")
+        for name in ("lam", "beta", "lr", "eps_max"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0 < self.ramp_fraction <= 1:
             raise ValueError("ramp_fraction must be in (0, 1]")
         if self.epochs < 1 or self.batch_size < 1:

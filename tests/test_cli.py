@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -82,10 +83,22 @@ def tiny_decoy_block(folder):
         ("dataset", "n", 50, "dataset: n must be >= 100"),
         ("dataset", "n_train", -1, "dataset: split sizes must be >= 1"),
         ("dataset", "n_test", -3, "dataset: split sizes must be >= 1"),
+        ("training", "lr", -1, "training: lr must be >= 0"),
+        ("training", "eps_max", -1, "training: eps_max must be >= 0"),
+        ("training", "perturb", {"alpha": -1}, "training: sigma, kappa and alpha must be >= 0"),
+        ("eval", "rcs_sigma", 0, "eval.rcs_sigma"),
+        ("eval", "grid_range", [[-4, 4]], "eval.grid_range"),
+        ("eval", "grid_range", [[4, -4], [-2, 2]], "eval.grid_range"),
+        ("eval", "grid_range", [[-4, 4], ["a", 2]], "eval.grid_range"),
+        ("eval", "grid_resolution", 0, "eval.grid_resolution"),
+        ("gp_verify", "thm1_trials", 0, "gp_verify.thm1_trials"),
+        ("gp_verify", "thm2_trials", 0, "gp_verify.thm2_trials"),
+        ("gp_verify", "psd_trials", -1, "gp_verify.psd_trials"),
     ],
     ids=[
         "method", "epochs", "batch_size", "hidden", "clamp-reversed", "clamp-short", "clamp-long", "clamp-text",
-        "toy-n", "decoy-n_train", "decoy-n_test",
+        "toy-n", "decoy-n_train", "decoy-n_test", "lr", "eps_max", "alpha", "rcs_sigma", "grid-short", "grid-reversed",
+        "grid-text", "grid-resolution", "thm1-trials", "thm2-trials", "psd-trials",
     ],
 )
 def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, block, key, value, field):
@@ -94,7 +107,7 @@ def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, block, key, value
     doc = json.loads(json.dumps(TOY))
     if key in ("n_train", "n_test"):
         doc["dataset"] = tiny_decoy_block(tmp_path / "digits")
-    doc[block][key] = value
+    doc.setdefault(block, {})[key] = value
     # dataset sizes are checked when the cache is built, the rest when training
     command = "gen-data" if block == "dataset" else "train"
     assert run_cli(command, "--config", write_config(tmp_path, doc, "bad.json"), "--out", out) == 2
@@ -174,6 +187,45 @@ def test_eval_on_truncated_checkpoint_exits_2_naming_the_file(tmp_path, capsys):
     assert run_cli("eval", "--config", cfg_path, "--out", str(out)) == 2
     assert f"error: {checkpoint}: truncated" in capsys.readouterr().err
     assert not (out / "metrics.json").exists()
+
+
+def test_short_label_file_exits_2_naming_it(tmp_path, capsys):
+    block = tiny_decoy_block(tmp_path / "digits")
+    labels = tmp_path / "digits" / "train-labels-idx1-ubyte"
+    labels.write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, 19) + bytes(19))
+    cfg_path = write_config(tmp_path, dict(TOY, dataset=block))
+    assert run_cli("gen-data", "--config", cfg_path, "--out", str(tmp_path / "run")) == 2
+    assert f"error: {labels}: count mismatch: 19 labels for the 20 images" in capsys.readouterr().err
+
+
+def test_boundary_dump_on_an_image_model_exits_2_naming_the_checkpoint(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, dict(TOY, dataset=tiny_decoy_block(tmp_path / "digits")))
+    out = tmp_path / "run"
+    for command in ("gen-data", "train"):
+        assert run_cli(command, "--config", cfg_path, "--out", str(out)) == 0
+    assert run_cli("boundary-dump", "--config", cfg_path, "--out", str(out)) == 2
+    assert f"error: {out / 'checkpoint.bin'}: boundary_grid needs a 2-input model, not 2352" in capsys.readouterr().err
+    assert not (out / "boundary.csv").exists()
+
+
+def test_eval_refuses_a_checkpoint_trained_under_another_config(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path, TOY)
+    for command in ("gen-data", "train"):
+        assert run_cli(command, "--config", cfg_path, "--out", str(out)) == 0
+    checkpoint = out / "checkpoint.bin"
+    other_lr = write_config(tmp_path, dict(TOY, training={**TOY["training"], "lr": 0.01}), "lr.json")
+    for command in ("eval", "boundary-dump"):
+        assert run_cli(command, "--config", other_lr, "--out", str(out)) == 2
+        assert f"error: {checkpoint}: trained under seed 3 and hash" in capsys.readouterr().err
+    # another root seed: its own cache exists, the checkpoint is still from seed 3
+    assert run_cli("gen-data", "--config", cfg_path, "--out", str(out), "--seed", "4") == 0
+    assert run_cli("eval", "--config", cfg_path, "--out", str(out), "--seed", "4") == 2
+    assert f"error: {checkpoint}: trained under seed 3 and hash" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+    # the eval block does not decide the weights
+    other_eval = write_config(tmp_path, dict(TOY, eval={**TOY["eval"], "rcs_sigma": 0.5}), "eval.json")
+    assert run_cli("eval", "--config", other_eval, "--out", str(out)) == 0
 
 
 def test_gp_verify_writes_report(tmp_path):

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mlx import data
 from mlx.binfile import FileFormatError
@@ -182,7 +184,6 @@ def test_cache_roundtrip(tmp_path, decoy_splits):
     loaded, meta = data.load_cache(path)
     assert meta["seed"] == 5
     assert meta["config_hash"] == "deadbeef"
-    assert loaded.name == decoy_splits.name
     for a, b in ((loaded.train, decoy_splits.train), (loaded.test, decoy_splits.test)):
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.group, b.group)
@@ -214,7 +215,39 @@ def test_cache_version_1_is_rejected_with_its_path(tmp_path):
     path = tmp_path / "cache.bin"
     data.save_cache(path, data.gen_toy2d(100, seed=0))
     raw = bytearray(path.read_bytes())
-    raw[4:8] = struct.pack("<I", 1)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FileFormatError, match=re.escape(str(path)) + ".*version 1"):
-        data.load_cache(path)
+    for version in (1, 2):  # every earlier layout
+        raw[4:8] = struct.pack("<I", version)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match=re.escape(str(path)) + f".*version {version}"):
+            data.load_cache(path)
+
+
+@settings(deadline=None, max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    dim=st.integers(1, 20),  # mostly not a multiple of 8, so the packed mask rows pad
+    counts=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    seed=st.integers(0, 2**64 - 1),
+    config_hash=st.text(max_size=16),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_cache_roundtrip_random_splits(tmp_path, dim, counts, seed, config_hash, draw_seed):
+    rng = np.random.default_rng(draw_seed)
+    splits = data.DatasetSplits(
+        *[
+            data.Split(
+                rng.normal(size=(n, dim)).astype(np.float32).astype(np.float64),  # exact in the f32 store
+                rng.integers(0, 2**32, size=n),
+                (rng.random((n, dim)) < 0.5).astype(np.float64),
+                rng.integers(0, 2**32, size=n),
+            )
+            for n in counts
+        ]
+    )
+    path = tmp_path / "cache.bin"
+    data.save_cache(path, splits, seed=seed, config_hash=config_hash)
+    loaded, meta = data.load_cache(path)
+    assert meta == {"seed": seed, "config_hash": config_hash}
+    for name in ("train", "val", "test"):
+        a, b = getattr(loaded, name), getattr(splits, name)
+        for field in ("x", "y", "m", "group"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))

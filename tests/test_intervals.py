@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlx import autodiff as ad
 from mlx.intervals import (
@@ -174,3 +176,30 @@ def test_propagate_graph_matches_numpy():
     lo, hi = propagate_graph(param_tensors(params), box)
     assert lo.data == pytest.approx(ref.lower)
     assert hi.data == pytest.approx(ref.upper)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=3, max_size=5),
+    n=st.integers(1, 3),
+    kappa=st.floats(0.0, 2.0),
+    clamp=st.one_of(st.none(), st.tuples(st.floats(-2.0, 0.0), st.floats(0.1, 2.0))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ibp_sound_and_graph_equal_on_random_nets(sizes, n, kappa, clamp, seed):
+    rng = np.random.default_rng(seed)
+    params = init_params(MlpSpec(sizes[0], tuple(sizes[1:-1]), sizes[-1]), rng)
+    params.biases = [rng.normal(size=b.shape) for b in params.biases]
+    x = rng.normal(size=(n, sizes[0]))
+    m = (rng.random(x.shape) < 0.6).astype(float)
+    box = input_box(x, m, kappa, clamp=clamp)
+    out = propagate(params, box)
+    lo, hi = propagate_graph(param_tensors(params), box)
+    np.testing.assert_allclose(lo.data, out.lower, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(hi.data, out.upper, rtol=1e-12, atol=1e-12)
+    # the box's two extreme corners and uniform draws inside it
+    u = np.concatenate([np.zeros((1, *x.shape)), np.ones((1, *x.shape)), rng.random((30, *x.shape))])
+    for pts in box.lower + u * (box.upper - box.lower):
+        z = logits(params, pts)
+        assert np.all(z >= out.lower - 1e-9)
+        assert np.all(z <= out.upper + 1e-9)

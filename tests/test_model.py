@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mlx import autodiff as ad
 from mlx.binfile import FileFormatError
@@ -146,3 +148,22 @@ def test_predict_shape_mismatch():
     params = init_params(MlpSpec(3, (4,), 2), 0)
     with pytest.raises(ad.ShapeError):
         predict(params, np.ones((2, 5)))
+
+
+@settings(deadline=None, max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=3, max_size=5),
+    seed=st.integers(0, 2**64 - 1),
+    config_hash=st.text(max_size=16),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_checkpoint_roundtrip_random_sizes(tmp_path, sizes, seed, config_hash, draw_seed):
+    rng = np.random.default_rng(draw_seed)
+    params = init_params(MlpSpec(sizes[0], tuple(sizes[1:-1]), sizes[-1]), rng)
+    params.biases = [rng.normal(size=b.shape) for b in params.biases]
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, params, seed=seed, config_hash=config_hash)
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"seed": seed, "config_hash": config_hash}
+    assert loaded.sizes() == params.sizes()
+    assert all(np.array_equal(a, b) for a, b in zip(params.flat(), loaded.flat()))

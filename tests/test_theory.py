@@ -35,7 +35,7 @@ def test_augmented_kernel_rejects_duplicates():
 
 def test_posterior_mean_single_point_values():
     setup = theory.GpSetup(points=[[0.2, -0.5]], y=[1.0], alpha=1.4, beta=0.8)
-    assert setup.ytilde() == pytest.approx([1.0, 0.0], abs=1e-6)
+    assert setup.ytilde == pytest.approx([1.0, 0.0], abs=1e-6)
     # at the training point the posterior reproduces the observation
     assert theory.gp_posterior_mean_marginalized(setup, [0.2, -0.5]) == pytest.approx(1.0, abs=1e-6)
     # x2-only shift decays by the closed-form factor
