@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float arrays.
 
 The engine is define-by-run: calling an op executes it eagerly on numpy
 arrays and links the result :class:`Tensor` to its parents. Every op's
@@ -8,8 +8,16 @@ makes the backward pass differentiable and gives second-order gradients
 
 Conventions chosen for determinism:
 
-* all arithmetic is float64; any NaN/Inf produced by an op raises
-  :class:`NonFiniteError` immediately,
+* a tensor holds float32 or float64: a leaf keeps the dtype of a
+  float32 or float64 array and turns anything else into float64, and
+  every value the engine creates itself (one-hot masks, relu/abs masks,
+  sums, the log-sum-exp shift, gradient seeds and zero cotangents) takes
+  the dtype of the tensor it serves, so a graph built on float32 leaves
+  stays float32. Callers bring scalar weights in at their leaves' dtype
+  (``tensor(w, dtype)``): a 0-d float64 array would promote a float32
+  operand to float64,
+* any NaN/Inf produced by an op raises :class:`NonFiniteError`
+  immediately,
 * relu'(0) = 0 and d|x|/dx at 0 = 0 (subgradient, frozen as constants in
   the backward graph, so second derivatives treat relu as piecewise
   linear with the activation pattern locked at the evaluation point).
@@ -34,6 +42,14 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible with the op."""
 
 
+_FLOAT_TYPES = (np.float32, np.float64)
+
+
+def _float_array(value, dtype=None) -> np.ndarray:
+    arr = np.asarray(value, dtype=dtype)
+    return arr if arr.dtype.type in _FLOAT_TYPES else arr.astype(np.float64)
+
+
 def _checked(data: np.ndarray, op: str) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite value produced by op '{op}'")
@@ -41,7 +57,7 @@ def _checked(data: np.ndarray, op: str) -> np.ndarray:
 
 
 class Tensor:
-    """Node of the computation graph: a float64 array plus provenance.
+    """Node of the computation graph: a float32 or float64 array plus provenance.
 
     ``op`` is the primitive name ('const' for leaves), ``parents`` the
     input tensors, ``aux`` the non-differentiable op arguments (axes,
@@ -52,7 +68,7 @@ class Tensor:
     __slots__ = ("data", "op", "parents", "aux", "_transposed")
 
     def __init__(self, data, op: str = "const", parents: tuple = (), aux: tuple = ()):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _float_array(data)
         self.op = op
         self.parents = parents
         self.aux = aux
@@ -73,9 +89,9 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
 
-def tensor(value) -> Tensor:
-    """Wrap an array-like as a leaf tensor."""
-    arr = np.asarray(value, dtype=np.float64)
+def tensor(value, dtype=None) -> Tensor:
+    """Wrap an array-like as a leaf tensor, cast to ``dtype`` when given."""
+    arr = _float_array(value, dtype)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("leaf tensor holds non-finite values")
     return Tensor(arr)
@@ -159,7 +175,7 @@ def broadcast_to(a, shape) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _lift(a)
-    mask = (a.data > 0).astype(np.float64)
+    mask = (a.data > 0).astype(a.data.dtype)
     return Tensor(np.maximum(a.data, 0.0), "relu", (a,), (mask,))
 
 
@@ -185,7 +201,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         if not isinstance(axis, tuple):
             axis = (int(axis),)
         axis = tuple(ax % a.data.ndim for ax in axis)
-    out = np.asarray(np.sum(a.data, axis=axis, keepdims=keepdims), dtype=np.float64)
+    out = np.asarray(np.sum(a.data, axis=axis, keepdims=keepdims))
     return Tensor(_checked(out, "sum"), "sum", (a,), (axis, keepdims, a.shape))
 
 
@@ -247,12 +263,12 @@ def log_softmax(z, axis: int = -1) -> Tensor:
     return sub(z, logsumexp(z, axis=axis))
 
 
-def one_hot(labels, classes: int) -> np.ndarray:
-    """(n, classes) float64 mask holding a 1 at each example's label column."""
+def one_hot(labels, classes: int, dtype=np.float64) -> np.ndarray:
+    """(n, classes) mask holding a 1 at each example's label column."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if labels.min(initial=0) < 0 or labels.max(initial=-1) >= classes:
         raise IndexError(f"label out of range [0, {classes})")
-    mask = np.zeros((labels.shape[0], classes))
+    mask = np.zeros((labels.shape[0], classes), dtype=dtype)
     mask[np.arange(labels.shape[0]), labels] = 1.0
     return mask
 
@@ -266,7 +282,7 @@ def cross_entropy(logits, labels, reduction: str = "mean") -> Tensor:
     logits = _lift(logits)
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects (n, classes) logits, got {logits.shape}")
-    mask = one_hot(labels, logits.shape[1])
+    mask = one_hot(labels, logits.shape[1], logits.data.dtype)
     if mask.shape != logits.shape:
         raise ShapeError(f"cross_entropy got {mask.shape[0]} labels for {logits.shape[0]} examples")
     nll = neg(tsum(mul(log_softmax(logits, axis=-1), Tensor(mask)), axis=1))
@@ -275,7 +291,7 @@ def cross_entropy(logits, labels, reduction: str = "mean") -> Tensor:
     if reduction == "sum":
         return tsum(nll)
     if reduction == "mean":
-        return div(tsum(nll), tensor(float(mask.shape[0])))
+        return div(tsum(nll), tensor(mask.shape[0], mask.dtype))
     raise ValueError(f"unknown reduction {reduction!r}")
 
 

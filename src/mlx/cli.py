@@ -8,11 +8,12 @@
     mlx sweep         --config c.json [--out DIR] [--seed N]
 
 Dataset caches live under $MLX_DATA_DIR when set, otherwise under the
-output directory; their file names embed the dataset-block hash, so
-train/eval locate them without extra bookkeeping. Every output file
-records the config hash and root seed (JSON ``meta`` object, or a
-leading ``#`` line in CSVs); reruns with identical config and seed
-produce byte-identical files. The checkpoint instead records the hash
+output directory; their file names embed the hash of the dataset block
+and seed, so train/eval locate them without extra bookkeeping, and
+their headers carry the same seed and hash, which train/eval check.
+Every output file records the config hash and root seed (JSON ``meta``
+object, or a leading ``#`` line in CSVs); reruns with identical config
+and seed produce byte-identical files. The checkpoint instead records the hash
 of the dataset, model and training blocks, and eval and boundary-dump
 refuse a checkpoint whose seed or hash differs from theirs; edits to
 the eval block leave it valid.
@@ -66,11 +67,12 @@ def _cache_dir(out: Path) -> Path:
     return cache
 
 
-def _dataset_cache_path(cfg: dict, out: Path, seed: int) -> Path:
+def _dataset_cache(cfg: dict, out: Path, seed: int) -> tuple[Path, dict]:
+    """The cache's path and the header ``{seed, config_hash}`` it must carry."""
     block = cfg.get("dataset", {})
     tag = cfgmod.config_hash({"dataset": block, "seed": seed})
     name = block.get("name", "toy2d")
-    return _cache_dir(out) / f"dataset-{name}-{tag}.bin"
+    return _cache_dir(out) / f"dataset-{name}-{tag}.bin", {"seed": seed, "config_hash": tag}
 
 
 def _build_dataset(cfg: dict, out: Path, seed: int) -> data.DatasetSplits:
@@ -96,12 +98,19 @@ def _build_dataset(cfg: dict, out: Path, seed: int) -> data.DatasetSplits:
 
 
 def _load_dataset(cfg: dict, out: Path, seed: int) -> data.DatasetSplits:
-    path = _dataset_cache_path(cfg, out, seed)
+    """The cached splits; a cache whose header names another dataset
+    block or seed raises FileFormatError naming it."""
+    path, expected = _dataset_cache(cfg, out, seed)
     if not path.exists():
         raise cfgmod.ConfigError(
             f"dataset cache {path} not found; run `mlx gen-data --config <same config>` first"
         )
-    splits, _ = data.load_cache(path)
+    splits, meta = data.load_cache(path)
+    if meta != expected:
+        raise FileFormatError(
+            f"{path}: written for seed {meta['seed']} and hash {meta['config_hash']}, not seed {seed} and hash "
+            f"{expected['config_hash']} of this config's dataset block; rerun `mlx gen-data`"
+        )
     return splits
 
 
@@ -112,8 +121,8 @@ def _model_spec(cfg: dict, splits: data.DatasetSplits) -> MlpSpec:
 
 def cmd_gen_data(cfg: dict, seed: int, out: Path) -> int:
     splits = _build_dataset(cfg, out, seed)
-    path = _dataset_cache_path(cfg, out, seed)
-    data.save_cache(path, splits, **_meta(cfg, seed))
+    path, meta = _dataset_cache(cfg, out, seed)
+    data.save_cache(path, splits, **meta)
     print(f"wrote {path} ({len(splits.train)}/{len(splits.val)}/{len(splits.test)} examples)")
     return 0
 

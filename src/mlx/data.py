@@ -24,6 +24,8 @@ corpus is rendered and written through the same IDX files.
 
 Cache file layout (little-endian):
     header   magic b'MLXD', version 3, seed, config hash, as in ``binfile``
+             (``mlx gen-data`` writes the root seed and the hash of the
+             dataset block and seed that the file name carries)
     feature_dim u32
     3 splits (train, val, test), each:
         count u32

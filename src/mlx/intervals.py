@@ -75,10 +75,12 @@ def propagate(params: ModelParams, box: BoxInterval) -> BoxInterval:
 
 
 def propagate_graph(ptensors: list[ad.Tensor], box: BoxInterval) -> tuple[ad.Tensor, ad.Tensor]:
-    """Same propagation as graph ops, differentiable in the parameters."""
-    half = ad.tensor(0.5)
-    c = ad.mul(ad.tensor(box.lower + box.upper), half)
-    r = ad.mul(ad.tensor(box.upper - box.lower), half)
+    """Same propagation as graph ops, differentiable in the parameters,
+    at the dtype of the parameter leaves."""
+    dt = ptensors[0].data.dtype
+    half = ad.tensor(0.5, dt)
+    c = ad.mul(ad.tensor(box.lower + box.upper, dt), half)
+    r = ad.mul(ad.tensor(box.upper - box.lower, dt), half)
     n_layers = len(ptensors) // 2
     for i in range(n_layers):
         w, b = ptensors[2 * i], ptensors[2 * i + 1]
@@ -101,7 +103,7 @@ def worst_case_logits(box: BoxInterval, y) -> np.ndarray:
 
 
 def worst_case_logits_graph(lower: ad.Tensor, upper: ad.Tensor, y) -> ad.Tensor:
-    onehot = ad.one_hot(y, lower.shape[1])
+    onehot = ad.one_hot(y, lower.shape[1], lower.data.dtype)
     oh = ad.tensor(onehot)
     return ad.add(ad.mul(lower, oh), ad.mul(upper, ad.tensor(1.0 - onehot)))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, logits, predict
+from .model import RELEASE_BYTES, ModelParams, logits, predict, release_freed_memory
 
 
 def macro_avg_accuracy(preds, labels) -> float:
@@ -69,19 +69,20 @@ class SaliencyStats:
     s1: float  # median |mask * saliency|_2
     s2: float  # median of per-example masked/unmasked norm ratio
     n_excluded: int  # examples dropped for a zero unmasked norm
+    logits: np.ndarray  # of the forward pass the saliency came from, equal to model.logits
 
 
 def saliency_stats(params: ModelParams, x, m) -> SaliencyStats:
-    from .train import importance_scores  # deferred: train imports metrics
+    from .train import logits_and_saliency  # deferred: train imports metrics
 
-    scores = importance_scores(params, x)
+    z, scores = logits_and_saliency(params, x)
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     masked = np.linalg.norm(scores * m, axis=1)
     unmasked = np.linalg.norm(scores * (1.0 - m), axis=1)
     ok = unmasked > 0
     ratios = masked[ok] / unmasked[ok]
     s2 = float(np.median(ratios)) if ratios.size else math.nan
-    return SaliencyStats(float(np.median(masked)), s2, int(np.sum(~ok)))
+    return SaliencyStats(float(np.median(masked)), s2, int(np.sum(~ok)), z)
 
 
 @dataclass
@@ -140,7 +141,15 @@ def build_report(
     rng: np.random.Generator | None = None,
     with_saliency: bool = True,
 ) -> MetricsReport:
-    preds = predict(params, split.x)
+    """Accuracies and, when asked, rcs and saliency statistics on split;
+    with saliency, the predictions come from the saliency pass's logits.
+    After a split of at least RELEASE_BYTES of inputs, the heap pages it
+    freed go back to the operating system before it returns."""
+    if with_saliency:
+        stats = saliency_stats(params, split.x, split.m)
+        preds = np.argmax(stats.logits, axis=1)
+    else:
+        preds = predict(params, split.x)
     groups = per_group_accuracy(preds, split.y, split.group)
     report = MetricsReport(
         avg_acc=macro_avg_accuracy(preds, split.y),
@@ -150,7 +159,8 @@ def build_report(
     if with_rcs:
         report.rcs = rcs(params, split.x, split.y, split.m, sigma=rcs_sigma, rng=rng)
     if with_saliency:
-        stats = saliency_stats(params, split.x, split.m)
         report.s1, report.s2 = stats.s1, stats.s2
         report.extras["saliency_excluded"] = stats.n_excluded
+    if split.x.nbytes >= RELEASE_BYTES:
+        release_freed_memory()
     return report

@@ -15,6 +15,7 @@ Checkpoint file layout (all little-endian):
 
 from __future__ import annotations
 
+import ctypes
 import struct
 from dataclasses import dataclass
 
@@ -78,6 +79,10 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
+    def astype(self, dtype) -> "ModelParams":
+        """A copy with every array cast to dtype."""
+        return ModelParams([w.astype(dtype) for w in self.weights], [b.astype(dtype) for b in self.biases])
+
 
 def linear_model(w: np.ndarray, b: np.ndarray | None = None) -> ModelParams:
     """Single affine layer f(x) = x @ w + b; handy for oracles and tests."""
@@ -134,6 +139,30 @@ def logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return np.argmax(logits(params, x), axis=1)
+
+
+# Training or scoring over inputs this large frees several copies of them
+# piece by piece. Below it there is little to hand back, and handing it back
+# (0.1-0.3 ms, plus faulting the pages in again) costs a sizeable share of
+# passes that themselves take about a millisecond.
+RELEASE_BYTES = 1 << 20
+
+
+def release_freed_memory() -> None:
+    """Hand the C heap's free pages back to the operating system (glibc's
+    ``malloc_trim``; a no-op where the C library lacks it).
+
+    Training and scoring free their temporaries piece by piece, and glibc
+    keeps freed pages resident in amounts that depend on how the pieces
+    happen to lie in the heap, so without this the resident memory they
+    leave behind drifts from one run to the next. They call it after a
+    pass over at least RELEASE_BYTES of inputs.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim(0)
 
 
 def save_checkpoint(path, params: ModelParams, seed: int = 0, config_hash: str = "") -> None:

@@ -38,15 +38,16 @@ class PerturbConfig:
 
 def masked_noise_loss_graph(ptensors, x, y, m, cfg: PerturbConfig, rng: np.random.Generator) -> ad.Tensor:
     """(alpha/K) sum_j summed-CE at x + eps_j * m, eps_j ~ N(0, sigma^2 I); unclipped."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    dt = ptensors[0].data.dtype
+    x = np.atleast_2d(np.asarray(x, dtype=dt))
+    m = np.atleast_2d(np.asarray(m, dtype=dt))
     total = None
     for _ in range(cfg.k_samples):
         eps = rng.normal(0.0, cfg.sigma, size=x.shape)
-        xj = ad.tensor(x + eps * m)
+        xj = ad.tensor(x + eps * m, dt)
         term = ad.cross_entropy(logits_graph(ptensors, xj), y, reduction="sum")
         total = term if total is None else ad.add(total, term)
-    return ad.mul(ad.tensor(cfg.alpha / cfg.k_samples), total)
+    return ad.mul(ad.tensor(cfg.alpha / cfg.k_samples, dt), total)
 
 
 def pgd_attack(
@@ -61,20 +62,21 @@ def pgd_attack(
 ) -> np.ndarray:
     """Best masked l-inf perturbation found by sign-gradient ascent.
 
-    ``params`` is a ModelParams or the graph leaves of one.
-    Returns delta with |delta|_inf <= kappa and delta == 0 off-mask.
-    The ascent starts from the zero perturbation and takes steps of
-    ``step_size`` (kappa / 4 when None). Per example, the iterate with
-    the highest loss seen is returned.
+    ``params`` is a ModelParams or the graph leaves of one; the attack
+    runs at their dtype. Returns delta with |delta|_inf <= kappa and
+    delta == 0 off-mask. The ascent starts from the zero perturbation
+    and takes steps of ``step_size`` (kappa / 4 when None). Per example,
+    the iterate with the highest loss seen is returned.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     pt = params if isinstance(params, list) else param_tensors(params)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    dt = pt[0].data.dtype
+    x = np.atleast_2d(np.asarray(x, dtype=dt))
+    m = np.atleast_2d(np.asarray(m, dtype=dt))
     y = np.asarray(y, dtype=np.int64).reshape(-1)
     step = kappa / 4.0 if step_size is None else step_size
-    on_mask = (m != 0).astype(np.float64)
+    on_mask = (m != 0).astype(dt)
 
     def project(delta):
         delta = np.clip(delta, -kappa, kappa)
@@ -83,7 +85,7 @@ def pgd_attack(
         return delta * on_mask
 
     def example_losses(delta):
-        xt = ad.tensor(x + delta)
+        xt = ad.tensor(x + delta, dt)
         return xt, ad.cross_entropy(logits_graph(pt, xt), y, reduction="none")
 
     delta = np.zeros_like(x)
@@ -106,8 +108,9 @@ def pgd_attack(
 
 def adversarial_loss_graph(ptensors, x, y, delta, alpha: float) -> ad.Tensor:
     """alpha * summed-CE at the (fixed) adversarial points x + delta."""
-    x_adv = ad.tensor(np.atleast_2d(x) + delta)
-    return ad.mul(ad.tensor(alpha), ad.cross_entropy(logits_graph(ptensors, x_adv), y, reduction="sum"))
+    dt = ptensors[0].data.dtype
+    x_adv = ad.tensor(np.atleast_2d(x) + delta, dt)
+    return ad.mul(ad.tensor(alpha, dt), ad.cross_entropy(logits_graph(ptensors, x_adv), y, reduction="sum"))
 
 
 def masked_corner_optimum(params, x, y, m, kappa: float) -> tuple[np.ndarray, float]:

@@ -22,6 +22,16 @@ functions of the global step fraction.
 Input saliency is the gradient of the summed log class probabilities,
 so the penalty needs a second differentiation through the backward
 pass, which the autodiff engine supports directly.
+
+Numeric policy: :func:`train` is the one place that picks float32. It
+casts the initial parameters once, keeps Adam's state in float32 and
+builds every loss on float32 leaves, so the graph builders cast each
+batch, mask, box and perturbation to float32 with them (exact for
+inputs read from a dataset cache, which stores them as float32). The
+parameters it returns are upcast to float64, which is exact. Every
+graph builder works at the dtype of the parameter leaves it is given,
+so callers that pass float64 leaves (gradient checks, saliency
+scoring) get float64.
 """
 
 from __future__ import annotations
@@ -32,7 +42,16 @@ import numpy as np
 
 from . import autodiff as ad
 from . import intervals, metrics, perturb, rng
-from .model import MlpSpec, ModelParams, init_params, logits_graph, param_tensors, predict
+from .model import (
+    RELEASE_BYTES,
+    MlpSpec,
+    ModelParams,
+    init_params,
+    logits_graph,
+    param_tensors,
+    predict,
+    release_freed_memory,
+)
 
 METHODS = ("erm", "grad-reg", "avg-ex", "pgd-ex", "ibp-ex", "pgd+grad", "ibp+grad")
 
@@ -83,8 +102,9 @@ def alpha_schedule(cfg: TrainingConfig, step_fraction: float) -> float:
     return cfg.perturb.alpha * (1.0 - 0.5 * min(1.0, step_fraction / cfg.ramp_fraction))
 
 
-def _saliency_graph(ptensors, xt: ad.Tensor) -> ad.Tensor:
-    """Input gradient of the summed log class probabilities.
+def _saliency_graph(ptensors, xt: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+    """Logits of xt and their input gradient of the summed log class
+    probabilities.
 
     A single-output model has no class distribution; its saliency is
     the gradient of the raw output.
@@ -92,20 +112,28 @@ def _saliency_graph(ptensors, xt: ad.Tensor) -> ad.Tensor:
     z = logits_graph(ptensors, xt)
     score = ad.tsum(z if z.shape[1] == 1 else ad.log_softmax(z, axis=-1))
     (g,) = ad.grad(score, [xt])
-    return g
+    return z, g
+
+
+def logits_and_saliency(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and per-coordinate saliency of each example in x, from one
+    forward pass; the logits equal ``model.logits`` bit for bit."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    z, g = _saliency_graph(param_tensors(params), ad.tensor(x))
+    return z.data, g.data
 
 
 def importance_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Per-coordinate saliency of each example in x."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return _saliency_graph(param_tensors(params), ad.tensor(x)).data
+    return logits_and_saliency(params, x)[1]
 
 
 def saliency_penalty_graph(ptensors, x, m) -> ad.Tensor:
     """Sum over the batch of |saliency * mask|^2, differentiable in theta."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    g = _saliency_graph(ptensors, ad.tensor(x))
+    dt = ptensors[0].data.dtype
+    x = np.atleast_2d(np.asarray(x, dtype=dt))
+    m = np.atleast_2d(np.asarray(m, dtype=dt))
+    _, g = _saliency_graph(ptensors, ad.tensor(x))
     return ad.tsum(ad.square(ad.mul(g, ad.tensor(m))))
 
 
@@ -118,7 +146,7 @@ def _weight_decay_graph(ptensors, beta: float) -> ad.Tensor:
     for p in ptensors:
         term = ad.tsum(ad.square(p))
         total = term if total is None else ad.add(total, term)
-    return ad.mul(ad.tensor(0.5 * beta), total)
+    return ad.mul(ad.tensor(0.5 * beta, ptensors[0].data.dtype), total)
 
 
 def total_loss_graph(
@@ -135,15 +163,16 @@ def total_loss_graph(
     loss but not in the breakdown."""
     if not 0 <= step_fraction <= 1:
         raise ValueError("step_fraction must be in [0, 1]")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    dt = ptensors[0].data.dtype
+    x = np.atleast_2d(np.asarray(x, dtype=dt))
+    m = np.atleast_2d(np.asarray(m, dtype=dt))
     task = ad.cross_entropy(logits_graph(ptensors, ad.tensor(x)), y, reduction="sum")
     robust = None
     reg = None
 
     method = cfg.method
     if method in ("grad-reg", "pgd+grad", "ibp+grad") and cfg.lam > 0:
-        reg = ad.mul(ad.tensor(cfg.lam), saliency_penalty_graph(ptensors, x, m))
+        reg = ad.mul(ad.tensor(cfg.lam, dt), saliency_penalty_graph(ptensors, x, m))
     if method == "avg-ex":
         robust = perturb.masked_noise_loss_graph(ptensors, x, y, m, cfg.perturb, noise_rng)
     elif method in ("pgd-ex", "pgd+grad"):
@@ -154,7 +183,7 @@ def total_loss_graph(
         eps = eps_schedule(cfg, step_fraction)
         alpha = alpha_schedule(cfg, step_fraction)
         wc = intervals.worst_case_loss_graph(ptensors, x, y, m, eps, clamp=cfg.clamp)
-        robust = ad.mul(ad.tensor(alpha), wc)
+        robust = ad.mul(ad.tensor(alpha, dt), wc)
 
     total = task
     if robust is not None:
@@ -208,7 +237,8 @@ class TrainResult:
     ``params`` is the epoch with the best validation worst-group
     accuracy (ties broken by the earliest epoch); ``final_params`` is
     the last epoch, for analyses where the clean-validation metric
-    saturates early and cannot distinguish checkpoints.
+    saturates early and cannot distinguish checkpoints. Both hold
+    float64 arrays of float32 values.
     """
 
     params: ModelParams
@@ -218,13 +248,22 @@ class TrainResult:
 
 
 def train(splits, cfg: TrainingConfig, spec: MlpSpec) -> TrainResult:
-    """Adam training with per-epoch validation; the selected checkpoint
-    maximises validation worst-group accuracy (ties broken by earliest
-    epoch)."""
+    """Adam training in float32 with per-epoch validation; the selected
+    checkpoint maximises validation worst-group accuracy (ties broken by
+    earliest epoch). The returned parameters are float64. After training
+    on at least RELEASE_BYTES of inputs, the heap pages the run freed go
+    back to the operating system before it returns."""
+    result = _train(splits, cfg, spec)
+    if splits.train.x.nbytes >= RELEASE_BYTES:
+        release_freed_memory()  # here, once the last step's graph and Adam's state are freed with _train's frame
+    return result
+
+
+def _train(splits, cfg: TrainingConfig, spec: MlpSpec) -> TrainResult:
     tr, va = splits.train, splits.val
     if tr.x.shape[0] == 0 or va.x.shape[0] == 0:
         raise ValueError("train and val splits must be non-empty")
-    params = init_params(spec, rng.stream(cfg.seed, "init"))
+    params = init_params(spec, rng.stream(cfg.seed, "init")).astype(np.float32)
     shuffle_rng = rng.stream(cfg.seed, "shuffle")
     noise_rng = rng.stream(cfg.seed, "noise")
     opt = Adam(params.flat(), cfg.lr)
@@ -233,7 +272,7 @@ def train(splits, cfg: TrainingConfig, spec: MlpSpec) -> TrainResult:
     steps_per_epoch = max(1, -(-n // cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
     history: list[dict] = []
-    best = (-1.0, 0, params.copy())  # (val wg acc, epoch, params)
+    best = (-1.0, 0, params.astype(np.float64))  # (val wg acc, epoch, params)
 
     step_idx = 0
     for epoch in range(cfg.epochs):
@@ -243,8 +282,8 @@ def train(splits, cfg: TrainingConfig, spec: MlpSpec) -> TrainResult:
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             frac = step_idx / max(1, total_steps)
-            pt = param_tensors(params)
             try:
+                pt = param_tensors(params)
                 loss, parts = total_loss_graph(pt, tr.x[idx], tr.y[idx], tr.m[idx], cfg, frac, noise_rng)
                 grads = ad.grad(loss, pt)
             except ad.NonFiniteError as err:
@@ -265,5 +304,5 @@ def train(splits, cfg: TrainingConfig, spec: MlpSpec) -> TrainResult:
         }
         history.append(row)
         if val_wg > best[0]:
-            best = (val_wg, epoch, params.copy())
-    return TrainResult(best[2], params, history, best[1])
+            best = (val_wg, epoch, params.astype(np.float64))
+    return TrainResult(best[2], params.astype(np.float64), history, best[1])

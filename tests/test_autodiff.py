@@ -175,6 +175,28 @@ def test_non_finite_raises():
         ad.tsum(ad.tensor([1e308, 1e308]))
 
 
+def test_leaves_keep_float32_or_float64_and_everything_else_becomes_float64():
+    assert ad.tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+    assert ad.tensor(np.ones(2)).data.dtype == np.float64
+    assert ad.tensor([1, 2]).data.dtype == np.float64
+    assert ad.tensor(np.ones(2, dtype=np.float16)).data.dtype == np.float64
+    assert ad.tensor(0.5, np.float32).data.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("reduction", ["none", "sum", "mean"])
+def test_graph_on_leaves_of_one_dtype_stays_in_it(dtype, reduction):
+    g = np.random.default_rng(0)
+    w = ad.tensor(g.normal(size=(4, 3)).astype(dtype))
+    x = ad.tensor(g.normal(size=(5, 4)).astype(dtype))
+    z = ad.relu(ad.matmul(x, ad.absval(w)))
+    loss = ad.tsum(ad.cross_entropy(z, [0, 1, 2, 0, 1], reduction=reduction))
+    (gw,) = ad.grad(loss, [w])
+    (gww,) = ad.grad(ad.tsum(ad.square(gw)), [w])
+    (unreached,) = ad.grad(loss, [ad.tensor(np.ones(2, dtype=dtype))])
+    assert {t.data.dtype for t in ad._topo([loss, gw, gww, unreached])} == {np.dtype(dtype)}
+
+
 def test_logsumexp_stability():
     z = ad.tensor([[1000.0, 1000.0]])
     assert ad.cross_entropy(z, [0]).item() == pytest.approx(np.log(2))

@@ -228,6 +228,30 @@ def test_eval_refuses_a_checkpoint_trained_under_another_config(tmp_path, capsys
     assert run_cli("eval", "--config", other_eval, "--out", str(out)) == 0
 
 
+def test_eval_edit_rewrites_a_byte_identical_dataset_cache(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("gen-data", "--config", write_config(tmp_path, TOY), "--out", str(out)) == 0
+    (cache,) = out.glob("dataset-*.bin")
+    first = cache.read_bytes()
+    other_eval = write_config(tmp_path, dict(TOY, eval={**TOY["eval"], "rcs_sigma": 0.5}), "eval.json")
+    assert run_cli("gen-data", "--config", other_eval, "--out", str(out)) == 0
+    assert list(out.glob("dataset-*.bin")) == [cache]
+    assert cache.read_bytes() == first
+
+
+def test_dataset_cache_with_another_header_hash_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path, TOY)
+    assert run_cli("gen-data", "--config", cfg_path, "--out", str(out)) == 0
+    (cache,) = out.glob("dataset-*.bin")
+    splits, meta = data.load_cache(cache)
+    data.save_cache(cache, splits, seed=meta["seed"], config_hash="0" * len(meta["config_hash"]))
+    for command in ("train", "eval"):
+        assert run_cli(command, "--config", cfg_path, "--out", str(out)) == 2
+        assert f"error: {cache}: written for seed 3 and hash 000" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_gp_verify_writes_report(tmp_path):
     cfg_path = write_config(
         tmp_path, {"seed": 0, "gp_verify": {"thm1_trials": 50, "thm2_trials": 10, "psd_trials": 20}}

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mlx import metrics
-from mlx.model import MlpSpec, init_params, linear_model
+from mlx import data, metrics
+from mlx.model import MlpSpec, init_params, linear_model, logits, predict
 
 
 def test_macro_accuracy_all_correct():
@@ -195,3 +195,26 @@ def test_report_shape(tmp_path):
     assert set(doc) >= {"avg_acc", "per_group_acc", "wg_acc", "rcs", "s1", "s2"}
     assert doc["wg_acc"] == min(doc["per_group_acc"].values())
     assert -100 - 1e-9 <= (doc["rcs"] if doc["rcs"] is not None else 0.0) <= 100 + 1e-9
+
+
+def test_report_predictions_from_the_saliency_pass_equal_predict():
+    g = np.random.default_rng(5)
+    x = g.random((40, 6))
+    y = g.integers(0, 3, 40)
+    split = data.Split(x, y, (g.random((40, 6)) < 0.5).astype(float), y.copy())
+    params = init_params(MlpSpec(6, (8,), 3), 2)
+    report = metrics.build_report(params, split, rng=np.random.default_rng(0))
+    preds = predict(params, x)
+    groups = metrics.per_group_accuracy(preds, y, y)
+    stats = metrics.saliency_stats(params, x, split.m)
+    separate = metrics.MetricsReport(
+        avg_acc=metrics.macro_avg_accuracy(preds, y),
+        per_group_acc=groups,
+        wg_acc=min(groups.values()),
+        rcs=metrics.rcs(params, x, y, split.m, rng=np.random.default_rng(0)),
+        s1=stats.s1,
+        s2=stats.s2,
+        extras={"saliency_excluded": stats.n_excluded},
+    )
+    assert report.as_dict() == separate.as_dict()
+    assert np.array_equal(stats.logits, logits(params, x))
