@@ -16,8 +16,9 @@ Conventions chosen for determinism:
   stays float32. Callers bring scalar weights in at their leaves' dtype
   (``tensor(w, dtype)``): a 0-d float64 array would promote a float32
   operand to float64,
-* any NaN/Inf produced by an op raises :class:`NonFiniteError`
-  immediately,
+* leaves, exp, log, div and sum raise :class:`NonFiniteError` on NaN/Inf;
+  add, mul and matmul are not scanned, but :func:`grad` checks its output
+  and gradients and names the first non-finite op of their graph,
 * relu'(0) = 0 and d|x|/dx at 0 = 0 (subgradient, frozen as constants in
   the backward graph, so second derivatives treat relu as piecewise
   linear with the activation pattern locked at the evaluation point).
@@ -62,25 +63,21 @@ class Tensor:
     ``op`` is the primitive name ('const' for leaves), ``parents`` the
     input tensors, ``aux`` the non-differentiable op arguments (axes,
     shapes, frozen masks) its vector-Jacobian product needs.
-    A tensor's array is read, never written, once the tensor exists.
+    A tensor's array is read, never written, once the tensor exists; a
+    transpose's array is a view of its parent's.
     """
 
-    __slots__ = ("data", "op", "parents", "aux", "_transposed")
+    __slots__ = ("data", "op", "parents", "aux")
 
     def __init__(self, data, op: str = "const", parents: tuple = (), aux: tuple = ()):
         self.data = _float_array(data)
         self.op = op
         self.parents = parents
         self.aux = aux
-        self._transposed = None
 
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -122,12 +119,12 @@ def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    return Tensor(_checked(a.data + b.data, "add"), "add", (a, b))
+    return Tensor(a.data + b.data, "add", (a, b))
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    return Tensor(_checked(a.data * b.data, "mul"), "mul", (a, b))
+    return Tensor(a.data * b.data, "mul", (a, b))
 
 
 def div(a, b) -> Tensor:
@@ -150,15 +147,12 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    return Tensor(_checked(a.data @ b.data, "matmul"), "matmul", (a, b))
+    return Tensor(a.data @ b.data, "matmul", (a, b))
 
 
 def transpose(a) -> Tensor:
-    # every backward pass through a weight transposes it: keep one copy (an array; a node would form a cycle)
     a = _lift(a)
-    if a._transposed is None:
-        a._transposed = a.data.T.copy()
-    return Tensor(a._transposed, "transpose", (a,))
+    return Tensor(a.data.T, "transpose", (a,))
 
 
 def reshape(a, shape) -> Tensor:
@@ -327,9 +321,9 @@ def grad(output: Tensor, wrt) -> list[Tensor]:
 
     The returned tensors are graph nodes themselves, so a scalar built
     from them can be passed to ``grad`` again for second-order
-    derivatives.
+    derivatives. A non-finite output or gradient raises NonFiniteError.
     """
-    if output.size != 1:
+    if output.data.size != 1:
         raise ShapeError(f"grad needs a scalar output, got shape {output.shape}")
     wrt = list(wrt)
     wrt_ids = {id(w) for w in wrt}
@@ -358,5 +352,10 @@ def grad(output: Tensor, wrt) -> list[Tensor]:
             prev = cotangent.get(id(parent))
             cotangent[id(parent)] = pg if prev is None else add(prev, pg)
 
-    return [final[id(w)] if id(w) in final else Tensor(np.zeros_like(w.data)) for w in wrt]
+    grads = [final[id(w)] if id(w) in final else Tensor(np.zeros_like(w.data)) for w in wrt]
+    if not all(np.all(np.isfinite(t.data)) for t in (output, *grads)):
+        # parents precede children in _topo, so the first bad node has finite inputs
+        bad = next(t for t in _topo([*grads, output]) if not np.all(np.isfinite(t.data)))
+        raise NonFiniteError(f"non-finite value produced by op '{bad.op}'")
+    return grads
 

@@ -22,26 +22,30 @@ from .model import ModelParams
 
 @dataclass
 class BoxInterval:
-    """Elementwise bounds, lower <= upper, equal shapes."""
+    """Elementwise bounds, lower <= upper, equal shapes; float32 when both
+    bounds are float32, float64 otherwise."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=np.float64)
-        self.upper = np.asarray(self.upper, dtype=np.float64)
+        lower, upper = np.asarray(self.lower), np.asarray(self.upper)
+        dt = np.float32 if lower.dtype == upper.dtype == np.float32 else np.float64
+        self.lower = lower.astype(dt, copy=False)
+        self.upper = upper.astype(dt, copy=False)
         if self.lower.shape != self.upper.shape:
             raise ad.ShapeError("box bounds must share a shape")
         if np.any(self.upper - self.lower < 0):
             raise ValueError("box has upper < lower")
 
 
-def input_box(x, m, kappa: float, clamp: tuple[float, float] | None = None) -> BoxInterval:
-    """Per-example box [x - kappa*m, x + kappa*m], optionally clamped to a data range."""
+def input_box(x, m, kappa: float, clamp: tuple[float, float] | None = None, dtype=np.float64) -> BoxInterval:
+    """Per-example box [x - kappa*m, x + kappa*m], optionally clamped to a
+    data range, computed at ``dtype`` (float32 or float64)."""
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    x = np.asarray(x, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
+    x = np.asarray(x, dtype=dtype)
+    m = np.asarray(m, dtype=dtype)
     lower = x - kappa * m
     upper = x + kappa * m
     if clamp is not None:
@@ -111,8 +115,9 @@ def worst_case_logits_graph(lower: ad.Tensor, upper: ad.Tensor, y) -> ad.Tensor:
 def worst_case_loss_graph(
     ptensors: list[ad.Tensor], x, y, m, kappa: float, clamp: tuple[float, float] | None = None
 ) -> ad.Tensor:
-    """Summed task loss of the worst-case logits over a masked batch box."""
-    box = input_box(x, m, kappa, clamp=clamp)
+    """Summed task loss of the worst-case logits over a masked batch box
+    built at the dtype of the parameter leaves."""
+    box = input_box(x, m, kappa, clamp=clamp, dtype=ptensors[0].data.dtype)
     lower, upper = propagate_graph(ptensors, box)
     z_wc = worst_case_logits_graph(lower, upper, y)
     return ad.cross_entropy(z_wc, y, reduction="sum")

@@ -175,6 +175,19 @@ def test_non_finite_raises():
         ad.tsum(ad.tensor([1e308, 1e308]))
 
 
+def test_grad_names_the_unchecked_op_that_overflowed():
+    # mul is not scanned when it runs; grad finds the overflow in its output
+    with pytest.raises(ad.NonFiniteError, match="'mul'"):
+        x = ad.tensor(np.full(3, 1e5))
+        loss = ad.mul(ad.tensor(1e300), ad.tsum(ad.square(x)))
+        ad.grad(loss, [x])
+
+
+def test_transpose_is_a_view():
+    t = ad.tensor(np.arange(6.0).reshape(2, 3))
+    assert np.shares_memory(ad.transpose(t).data, t.data)
+
+
 def test_leaves_keep_float32_or_float64_and_everything_else_becomes_float64():
     assert ad.tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
     assert ad.tensor(np.ones(2)).data.dtype == np.float64
