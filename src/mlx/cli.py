@@ -282,13 +282,15 @@ _COMMANDS = {
 }
 
 
+_PARSER = argparse.ArgumentParser(prog="mlx", description=__doc__.strip().splitlines()[0])
+_PARSER.add_argument("subcommand", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to a JSON experiment config")
+_PARSER.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
+_PARSER.add_argument("--seed", type=int, default=None, help="root seed (overrides config seed)")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="mlx", description=__doc__.strip().splitlines()[0])
-    parser.add_argument("subcommand", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to a JSON experiment config")
-    parser.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
-    parser.add_argument("--seed", type=int, default=None, help="root seed (overrides config seed)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = cfgmod.load(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))

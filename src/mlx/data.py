@@ -182,63 +182,102 @@ _GLYPH_BOX = (4.0, 23.0, 8.0, 19.0)  # row0, row1, col0, col1 inside 28x28
 
 
 _SEGMENT_POINTS = 40
+_RAMP = np.linspace(0.0, 1.0, _SEGMENT_POINTS)[:, None]  # (points, 1): position along a segment
 
 
-def _segment_points(digit: int) -> list[np.ndarray]:
+def _segment_points(digit: int) -> np.ndarray:
     r0, r1, c0, c1 = _GLYPH_BOX
     segs = []
+    t = _RAMP[:, 0]
     for (x0, y0), (x1, y1) in _GLYPHS[digit]:
-        t = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
         rows = r0 + (y0 + (y1 - y0) * t) * (r1 - r0)
         cols = c0 + (x0 + (x1 - x0) * t) * (c1 - c0)
         segs.append(np.stack([rows, cols], axis=1))
-    return segs
+    return np.stack(segs)
 
 
-_SEGMENT_CACHE = {d: _segment_points(d) for d in range(10)}
+# Every digit's stroke points in one table: digit d owns rows
+# _SEG_FIRST[d] .. _SEG_FIRST[d] + _SEG_COUNT[d] - 1 of _SEGMENTS.
+_SEGMENTS = np.concatenate([_segment_points(d) for d in range(10)])  # (segments, points, 2)
+_SEG_COUNT = np.array([len(_GLYPHS[d]) for d in range(10)])
+_SEG_FIRST = np.cumsum(_SEG_COUNT) - _SEG_COUNT
+# The 3x3 pixel neighbourhood a stroke point paints, as (row, col) steps.
+_NEIGHBOURS = np.array([(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)])
+_RENDER_CHUNK = 512  # glyphs per vectorised pass: about 5 MB per temporary
 
 
-def _render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
-    """One randomized 28x28 grayscale glyph.
+def _render_chunk(digits: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Render one glyph per digit into ``out`` (len(digits), 28, 28).
 
-    Randomization: global subpixel shift, per-segment endpoint offsets,
-    random stroke width and intensity, additive pixel noise, and an
-    occasional dropped stroke. The dropout makes a slice of renderings
-    genuinely ambiguous, which keeps achievable accuracy below 100%.
+    The random draws are made glyph by glyph in ``synth_digits``'s order;
+    the pixel work is then done for the whole chunk at once.
     """
-    shift = rng.uniform(-3.0, 3.0, size=2)
-    segments = _SEGMENT_CACHE[digit]
-    drop = int(rng.integers(0, len(segments))) if rng.random() < 0.15 else -1
-    ramp = np.linspace(0, 1, _SEGMENT_POINTS)[:, None]
-    parts = []
-    for i, seg in enumerate(segments):
-        offsets = rng.normal(0.0, 0.7, size=(2, 2))  # endpoint displacements
-        if i == drop:
-            continue
-        parts.append(seg + shift + (1 - ramp) * offsets[0] + ramp * offsets[1])
-    pts = np.concatenate(parts)
-    sigma = rng.uniform(0.5, 1.1)
-    intensity = rng.uniform(0.55, 1.0)
-    img = np.zeros((28, 28))
-    base = np.floor(pts).astype(int)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            rr = base[:, 0] + dr
-            cc = base[:, 1] + dc
-            d2 = (rr + 0.5 - pts[:, 0]) ** 2 + (cc + 0.5 - pts[:, 1]) ** 2
-            w = np.exp(-d2 / (2 * sigma**2))
-            ok = (rr >= 0) & (rr < 28) & (cc >= 0) & (cc < 28)
-            np.maximum.at(img, (rr[ok], cc[ok]), w[ok])
-    img *= intensity
-    img += rng.normal(0.0, 0.1, size=img.shape)
-    return np.clip(img, 0.0, 1.0)
+    count = digits.size
+    n_segs = _SEG_COUNT[digits]
+    first = np.cumsum(n_segs) - n_segs  # each glyph's first row in offsets
+    shifts = np.empty((count, 2))
+    offsets = np.empty((int(n_segs.sum()), 2, 2))
+    dropped = []
+    two_sigma_sq = np.empty(count)
+    intensity = np.empty(count)
+    noise = np.empty((count, 28, 28))
+    for g, (row, k) in enumerate(zip(first.tolist(), n_segs.tolist())):
+        shifts[g] = rng.uniform(-3.0, 3.0, size=2)
+        if rng.random() < 0.15:
+            dropped.append(row + int(rng.integers(0, k)))
+        offsets[row : row + k] = rng.normal(0.0, 0.7, size=(k, 2, 2))  # endpoint displacements
+        sigma = rng.uniform(0.5, 1.1)
+        two_sigma_sq[g] = 2 * sigma**2  # a Python float: numpy's array ** 2 can differ in the last bit
+        intensity[g] = rng.uniform(0.55, 1.0)
+        noise[g] = rng.normal(0.0, 0.1, size=(28, 28))
+
+    keep = np.ones(offsets.shape[0], dtype=bool)
+    keep[dropped] = False
+    glyph = np.repeat(np.arange(count), n_segs)
+    seg = np.repeat(_SEG_FIRST[digits] - first, n_segs) + np.arange(offsets.shape[0])
+    glyph, seg, off = glyph[keep], seg[keep], offsets[keep]
+    pts = _SEGMENTS[seg] + shifts[glyph, None] + (1 - _RAMP) * off[:, None, 0] + _RAMP * off[:, None, 1]
+    rows, cols = pts[..., 0].ravel(), pts[..., 1].ravel()
+    owner = np.repeat(glyph, _SEGMENT_POINTS)
+    rr = np.floor(rows).astype(int) + _NEIGHBOURS[:, :1]  # (9, points)
+    cc = np.floor(cols).astype(int) + _NEIGHBOURS[:, 1:]
+    d2 = (rr + 0.5 - rows) ** 2 + (cc + 0.5 - cols) ** 2
+    w = np.exp(-d2 / two_sigma_sq[owner])
+    ok = (rr >= 0) & (rr < 28) & (cc >= 0) & (cc < 28)
+    img = np.zeros((count, 28, 28))
+    np.maximum.at(img.reshape(-1), (owner * 784 + rr * 28 + cc)[ok], w[ok])
+    img *= intensity[:, None, None]
+    img += noise
+    np.clip(img, 0.0, 1.0, out=out)
 
 
 def synth_digits(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """n synthetic digit images (n, 28, 28) in [0, 1] with balanced labels."""
+    """n synthetic digit images (n, 28, 28) in [0, 1] with balanced labels.
+
+    Each glyph is a digit's strokes under a global subpixel shift,
+    per-segment endpoint offsets, a random stroke width and intensity,
+    additive pixel noise, and an occasional dropped stroke. The dropout
+    makes a slice of renderings genuinely ambiguous, which keeps
+    achievable accuracy below 100%.
+
+    The output is a fixed function of (n, seed), and so are the corpus
+    files written from it. After all n labels, the stream holds, glyph
+    by glyph and in this order:
+      1. the shift, ``uniform(-3, 3, size=2)``;
+      2. the drop coin, ``random()``, and, when it is below 0.15, the
+         dropped segment, ``integers(0, segments)``;
+      3. the endpoint offsets of every segment, the dropped one
+         included, ``normal(0, 0.7, size=(segments, 2, 2))``;
+      4. the stroke width sigma, ``uniform(0.5, 1.1)``, then the
+         intensity, ``uniform(0.55, 1.0)``;
+      5. the pixel noise, ``normal(0, 0.1, size=(28, 28))``.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xD161]))
     labels = rng.integers(0, 10, size=n)
-    images = np.stack([_render_digit(int(d), rng) for d in labels])
+    images = np.empty((n, 28, 28))
+    for start in range(0, n, _RENDER_CHUNK):
+        stop = start + _RENDER_CHUNK
+        _render_chunk(labels[start:stop], rng, images[start:stop])
     return images, labels.astype(np.int64)
 
 

@@ -67,14 +67,18 @@ def augmented_kernel(points: np.ndarray, theta1: float, theta2: float) -> np.nda
         [ -(x2i-x2j)/t2^2 k   (1/t2^2 - (x2i-x2j)^2/t2^4) k ]
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[0] != np.unique(points, axis=0).shape[0]:
+    n = points.shape[0]
+    if np.count_nonzero(np.all(points[:, None, :] == points[None, :, :], axis=2)) != n:  # more than the diagonal
         raise ValueError("training points must be distinct")
     k = se_kernel(points, points, theta1, theta2)
     d2 = points[:, None, 1] - points[None, :, 1]
     t2sq = theta2 * theta2
-    k_fg = (d2 / t2sq) * k
-    k_gg = (1.0 / t2sq - (d2 * d2) / (t2sq * t2sq)) * k
-    return np.block([[k, k_fg], [-k_fg, k_gg]])
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = k
+    np.multiply(d2 / t2sq, k, out=out[:n, n:])
+    np.negative(out[:n, n:], out=out[n:, :n])
+    np.multiply(1.0 / t2sq - (d2 * d2) / (t2sq * t2sq), k, out=out[n:, n:])
+    return out
 
 
 @dataclass

@@ -57,7 +57,7 @@ METHODS = ("erm", "grad-reg", "avg-ex", "pgd-ex", "ibp-ex", "pgd+grad", "ibp+gra
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the epoch/step where it happened."""
+    """Loss or parameters became non-finite; names the step where it happened."""
 
 
 @dataclass
@@ -284,6 +284,12 @@ def _train(splits, cfg: TrainingConfig, spec: MlpSpec) -> TrainResult:
             frac = step_idx / max(1, total_steps)
             try:
                 pt = param_tensors(params)
+            except ad.NonFiniteError as err:
+                raise TrainingDiverged(
+                    f"the Adam update of step {step_idx - 1} made the parameters non-finite"
+                    f" (caught at epoch {epoch}, step {step_idx}): {err}"
+                ) from err
+            try:
                 loss, parts = total_loss_graph(pt, tr.x[idx], tr.y[idx], tr.m[idx], cfg, frac, noise_rng)
                 grads = ad.grad(loss, pt)
             except ad.NonFiniteError as err:

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +171,19 @@ def test_synth_corpus_idx_files(tmp_path):
     # second call reuses the files
     again = data.ensure_digit_corpus(tmp_path, seed=3, n_train=200, n_test=50)
     assert again == paths
+
+
+def test_synth_corpus_bytes_are_pinned(tmp_path):
+    # 600 glyphs cross a render-chunk seam; the hashes are those of the
+    # glyph-at-a-time renderer that the chunked one replaced
+    paths = data.ensure_digit_corpus(tmp_path, seed=3, n_train=600, n_test=50)
+    digests = {k: hashlib.sha256(Path(p).read_bytes()).hexdigest() for k, p in paths.items()}
+    assert digests == {
+        "train_images": "fc19f736375dfffe88551117b3ddc8f86d5f60d168658739845d4a41c5c7cc2b",
+        "train_labels": "d46253f17a3d8f5def4a29545f034bfc8e95193e5165611465de5eb2cc87895b",
+        "test_images": "319a1264b0bf3e83837c65cf60f2549181f21228b5637c1e29cf6ca3074e79d2",
+        "test_labels": "971ee258d2b7796ed77ac3fa329dcfeaa290987b8760959d1cfa7233ae6f75a4",
+    }
 
 
 def test_synth_corpus_not_reused_at_another_size(tmp_path):

@@ -89,6 +89,24 @@ def rcs_formula(acc_core, acc_spur):
     return 100 * (acc_core - acc_spur) / (2 * min(a_bar, 1 - a_bar))
 
 
+def test_blocked_scoring_equals_one_block(monkeypatch):
+    g = np.random.default_rng(11)
+    n = 2 * metrics.SCORE_BLOCK + 100
+    x = g.random((n, 20))
+    y = g.integers(0, 3, n)
+    m = (g.random((n, 20)) < 0.5).astype(float)
+    params = init_params(MlpSpec(20, (16, 16), 3), 4)
+    blocked_rcs = metrics.rcs(params, x, y, m, rng=np.random.default_rng(3))
+    blocked = metrics.saliency_stats(params, x, m)
+    monkeypatch.setattr(metrics, "SCORE_BLOCK", n)
+    assert metrics.rcs(params, x, y, m, rng=np.random.default_rng(3)) == blocked_rcs
+    whole = metrics.saliency_stats(params, x, m)
+    assert blocked.s1 == pytest.approx(whole.s1, rel=1e-12, abs=0)
+    assert blocked.s2 == pytest.approx(whole.s2, rel=1e-12, abs=0)
+    assert blocked.n_excluded == whole.n_excluded
+    assert np.allclose(blocked.logits, whole.logits, rtol=1e-12, atol=0)
+
+
 def test_rcs_formula_cases_via_constructed_models():
     # a model that predicts from the unmasked half only is immune to core
     # noise; craft datasets hitting the reference accuracy pairs exactly

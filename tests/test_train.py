@@ -241,9 +241,16 @@ def test_all_methods_collapse_to_erm_with_zero_weights():
 
 def test_train_divergence_aborts():
     splits = data.gen_toy2d(200, seed=6)
-    # lr large enough that the second forward pass overflows float64
+    # lr so large that the first Adam update overflows the float32 parameters
     cfg = TrainingConfig(method="erm", epochs=3, batch_size=50, lr=1e200, seed=0)
     with pytest.raises(TrainingDiverged):
+        train(splits, cfg, spec=MlpSpec(2, (8,), 2))
+
+
+def test_train_divergence_names_the_overflowing_update():
+    splits = data.gen_toy2d(200, seed=6)
+    cfg = TrainingConfig(method="erm", epochs=3, batch_size=50, lr=1e200, seed=0)
+    with pytest.raises(TrainingDiverged, match=r"the Adam update of step 0 made the parameters non-finite"):
         train(splits, cfg, spec=MlpSpec(2, (8,), 2))
 
 
