@@ -292,6 +292,8 @@ _PARSER.add_argument("--seed", type=int, default=None, help="root seed (override
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise cfgmod.ConfigError(f"--seed: must be >= 0, got {args.seed}")
         cfg = cfgmod.load(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         out = Path(args.out or cfg.get("out_dir", "mlx-runs"))

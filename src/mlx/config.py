@@ -16,15 +16,18 @@ Top-level keys (all optional unless a subcommand needs them):
 
 Unknown keys anywhere are rejected with the offending path, so typos
 fail loudly instead of silently running a default. Out-of-range values
-are rejected the same way: eval.rcs_sigma must be > 0, each grid_range
-pair must have lo < hi, and grid_resolution and every *_trials count
-must be >= 1 (training values are checked by TrainingConfig).
+are rejected the same way: every number must be finite (JSON readers
+accept NaN and Infinity), seed and dataset.seed must be >= 0,
+eval.rcs_sigma must be > 0, each grid_range pair must have lo < hi, and
+grid_resolution and every *_trials count must be >= 1 (training values
+are checked by TrainingConfig).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from .perturb import PerturbConfig
 from .train import TrainingConfig
@@ -76,10 +79,18 @@ _SCHEMA = {
 }
 
 
+def _finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return not isinstance(value, list) or all(_finite(v) for v in value)
+
+
 def _check_keys(block: dict, schema: dict, path: str) -> None:
     for key, value in block.items():
         if key not in schema:
             raise ConfigError(f"{path}{key}: unknown key")
+        if not _finite(value):
+            raise ConfigError(f"{path}{key}: must be finite, got {value!r}")
         expected = schema[key]
         if isinstance(expected, dict):
             if not isinstance(value, dict):
@@ -129,6 +140,9 @@ def validate(raw: dict) -> dict:
     for field, value in counts.items():
         if value < 1:
             raise ConfigError(f"{field}: must be >= 1, got {value}")
+    for field, value in (("seed", raw.get("seed", 0)), ("dataset.seed", ds.get("seed", 0))):
+        if value < 0:
+            raise ConfigError(f"{field}: must be >= 0, got {value}")
     return raw
 
 

@@ -12,7 +12,9 @@ Weight decay 0.5 * beta * |theta|^2 is added for every method when
 beta > 0. Loss terms sum over the batch (not mean), so lam and beta
 weigh the penalty against the summed task loss; history rows report
 per-example averages of the task, robust and saliency terms for
-readability (weight decay is not reported).
+readability (weight decay is not reported). Each term is a scalar
+tensor of the loss graph, and the task loss and the saliency penalty
+hang off one forward pass of the clean batch.
 
 The box radius ramps linearly 0 -> eps_max over the first
 ``ramp_fraction`` of training and the robust weight alpha ramps
@@ -37,6 +39,7 @@ scoring) get float64.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -102,25 +105,29 @@ def alpha_schedule(cfg: TrainingConfig, step_fraction: float) -> float:
     return cfg.perturb.alpha * (1.0 - 0.5 * min(1.0, step_fraction / cfg.ramp_fraction))
 
 
-def _saliency_graph(ptensors, xt: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-    """Logits of xt and their input gradient of the summed log class
-    probabilities.
+def _saliency_graph(xt: ad.Tensor, z: ad.Tensor) -> ad.Tensor:
+    """Input gradient of the summed log class probabilities, for the
+    logits z that the caller built from the input leaf xt.
 
     A single-output model has no class distribution; its saliency is
     the gradient of the raw output.
     """
-    z = logits_graph(ptensors, xt)
     score = ad.tsum(z if z.shape[1] == 1 else ad.log_softmax(z, axis=-1))
     (g,) = ad.grad(score, [xt])
-    return z, g
+    return g
+
+
+def _masked_penalty_graph(xt: ad.Tensor, z: ad.Tensor, m: np.ndarray) -> ad.Tensor:
+    """Sum over the batch of |saliency * mask|^2 for the logits z of xt."""
+    return ad.tsum(ad.square(ad.mul(_saliency_graph(xt, z), ad.tensor(m))))
 
 
 def logits_and_saliency(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logits and per-coordinate saliency of each example in x, from one
     forward pass; the logits equal ``model.logits`` bit for bit."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    z, g = _saliency_graph(param_tensors(params), ad.tensor(x))
-    return z.data, g.data
+    xt = ad.tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    z = logits_graph(param_tensors(params), xt)
+    return z.data, _saliency_graph(xt, z).data
 
 
 def importance_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -131,10 +138,9 @@ def importance_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
 def saliency_penalty_graph(ptensors, x, m) -> ad.Tensor:
     """Sum over the batch of |saliency * mask|^2, differentiable in theta."""
     dt = ptensors[0].data.dtype
-    x = np.atleast_2d(np.asarray(x, dtype=dt))
+    xt = ad.tensor(np.atleast_2d(np.asarray(x, dtype=dt)))
     m = np.atleast_2d(np.asarray(m, dtype=dt))
-    _, g = _saliency_graph(ptensors, ad.tensor(x))
-    return ad.tsum(ad.square(ad.mul(g, ad.tensor(m))))
+    return _masked_penalty_graph(xt, logits_graph(ptensors, xt), m)
 
 
 def grad_reg_term(params: ModelParams, x, m) -> float:
@@ -142,10 +148,7 @@ def grad_reg_term(params: ModelParams, x, m) -> float:
 
 
 def _weight_decay_graph(ptensors, beta: float) -> ad.Tensor:
-    total = None
-    for p in ptensors:
-        term = ad.tsum(ad.square(p))
-        total = term if total is None else ad.add(total, term)
+    total = reduce(ad.add, (ad.tsum(ad.square(p)) for p in ptensors))
     return ad.mul(ad.tensor(0.5 * beta, ptensors[0].data.dtype), total)
 
 
@@ -157,47 +160,40 @@ def total_loss_graph(
     cfg: TrainingConfig,
     step_fraction: float,
     noise_rng: np.random.Generator | None = None,
-) -> tuple[ad.Tensor, dict]:
-    """Scalar training loss plus the values {task, robust, reg} of its
-    batch-summed terms (0.0 for an absent term); weight decay is in the
-    loss but not in the breakdown."""
+) -> tuple[ad.Tensor, dict[str, ad.Tensor]]:
+    """Scalar training loss plus its batch-summed terms as scalar tensors
+    of the same graph: ``task`` always, ``robust`` and ``reg`` when the
+    method has them. Weight decay is in the loss but not in the terms.
+    The task loss and the saliency penalty share one forward pass of the
+    clean batch."""
     if not 0 <= step_fraction <= 1:
         raise ValueError("step_fraction must be in [0, 1]")
     dt = ptensors[0].data.dtype
     x = np.atleast_2d(np.asarray(x, dtype=dt))
     m = np.atleast_2d(np.asarray(m, dtype=dt))
-    task = ad.cross_entropy(logits_graph(ptensors, ad.tensor(x)), y, reduction="sum")
-    robust = None
-    reg = None
+    xt = ad.tensor(x)
+    z = logits_graph(ptensors, xt)
+    terms = {"task": ad.cross_entropy(z, y, reduction="sum")}
 
     method = cfg.method
-    if method in ("grad-reg", "pgd+grad", "ibp+grad") and cfg.lam > 0:
-        reg = ad.mul(ad.tensor(cfg.lam, dt), saliency_penalty_graph(ptensors, x, m))
     if method == "avg-ex":
-        robust = perturb.masked_noise_loss_graph(ptensors, x, y, m, cfg.perturb, noise_rng)
+        terms["robust"] = perturb.masked_noise_loss_graph(ptensors, x, y, m, cfg.perturb, noise_rng)
     elif method in ("pgd-ex", "pgd+grad"):
         pcfg = cfg.perturb
         delta = perturb.pgd_attack(ptensors, x, y, m, pcfg.kappa, pcfg.steps, clamp=cfg.clamp)
-        robust = perturb.adversarial_loss_graph(ptensors, x, y, delta, pcfg.alpha)
+        terms["robust"] = perturb.adversarial_loss_graph(ptensors, x, y, delta, pcfg.alpha)
     elif method in ("ibp-ex", "ibp+grad"):
         eps = eps_schedule(cfg, step_fraction)
         alpha = alpha_schedule(cfg, step_fraction)
         wc = intervals.worst_case_loss_graph(ptensors, x, y, m, eps, clamp=cfg.clamp)
-        robust = ad.mul(ad.tensor(alpha, dt), wc)
+        terms["robust"] = ad.mul(ad.tensor(alpha, dt), wc)
+    if method in ("grad-reg", "pgd+grad", "ibp+grad") and cfg.lam > 0:
+        terms["reg"] = ad.mul(ad.tensor(cfg.lam, dt), _masked_penalty_graph(xt, z, m))
 
-    total = task
-    if robust is not None:
-        total = ad.add(total, robust)
-    if reg is not None:
-        total = ad.add(total, reg)
+    total = reduce(ad.add, terms.values())
     if cfg.beta > 0:
         total = ad.add(total, _weight_decay_graph(ptensors, cfg.beta))
-    parts = {
-        "task": task.item(),
-        "robust": 0.0 if robust is None else robust.item(),
-        "reg": 0.0 if reg is None else reg.item(),
-    }
-    return total, parts
+    return total, terms
 
 
 class Adam:
@@ -235,10 +231,11 @@ class TrainResult:
     """Selected checkpoint plus the raw end-of-training state.
 
     ``params`` is the epoch with the best validation worst-group
-    accuracy (ties broken by the earliest epoch); ``final_params`` is
-    the last epoch, for analyses where the clean-validation metric
-    saturates early and cannot distinguish checkpoints. Both hold
-    float64 arrays of float32 values.
+    accuracy (ties broken by the best validation average accuracy, then
+    by the earliest epoch); ``final_params`` is the last epoch, for
+    analyses where the clean-validation metric saturates early and
+    cannot distinguish checkpoints. Both hold float64 arrays of float32
+    values.
     """
 
     params: ModelParams
@@ -250,9 +247,10 @@ class TrainResult:
 def train(splits, cfg: TrainingConfig, spec: MlpSpec) -> TrainResult:
     """Adam training in float32 with per-epoch validation; the selected
     checkpoint maximises validation worst-group accuracy (ties broken by
-    earliest epoch). The returned parameters are float64. After training
-    on at least RELEASE_BYTES of inputs, the heap pages the run freed go
-    back to the operating system before it returns."""
+    validation average accuracy, then by the earliest epoch). The
+    returned parameters are float64. After training on at least
+    RELEASE_BYTES of inputs, the heap pages the run freed go back to the
+    operating system before it returns."""
     result = _train(splits, cfg, spec)
     if splits.train.x.nbytes >= RELEASE_BYTES:
         release_freed_memory()  # here, once the last step's graph and Adam's state are freed with _train's frame
@@ -272,7 +270,7 @@ def _train(splits, cfg: TrainingConfig, spec: MlpSpec) -> TrainResult:
     steps_per_epoch = max(1, -(-n // cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
     history: list[dict] = []
-    best = (-1.0, 0, params.astype(np.float64))  # (val wg acc, epoch, params)
+    best = ((-1.0, -1.0), 0, params.astype(np.float64))  # ((val wg acc, val avg acc), epoch, params)
 
     step_idx = 0
     for epoch in range(cfg.epochs):
@@ -290,13 +288,13 @@ def _train(splits, cfg: TrainingConfig, spec: MlpSpec) -> TrainResult:
                     f" (caught at epoch {epoch}, step {step_idx}): {err}"
                 ) from err
             try:
-                loss, parts = total_loss_graph(pt, tr.x[idx], tr.y[idx], tr.m[idx], cfg, frac, noise_rng)
+                loss, terms = total_loss_graph(pt, tr.x[idx], tr.y[idx], tr.m[idx], cfg, frac, noise_rng)
                 grads = ad.grad(loss, pt)
             except ad.NonFiniteError as err:
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step_idx}: {err}") from err
             opt.step(params.flat(), [g.data for g in grads])
-            for key in sums:
-                sums[key] += parts[key]
+            for key, term in terms.items():
+                sums[key] += term.item()
             seen += idx.size
             step_idx += 1
         val_avg, val_wg = _val_metrics(params, va)
@@ -309,6 +307,6 @@ def _train(splits, cfg: TrainingConfig, spec: MlpSpec) -> TrainResult:
             "val_wg_acc": val_wg,
         }
         history.append(row)
-        if val_wg > best[0]:
-            best = (val_wg, epoch, params.astype(np.float64))
+        if (val_wg, val_avg) > best[0]:
+            best = ((val_wg, val_avg), epoch, params.astype(np.float64))
     return TrainResult(best[2], params.astype(np.float64), history, best[1])

@@ -94,11 +94,17 @@ def tiny_decoy_block(folder):
         ("gp_verify", "thm1_trials", 0, "gp_verify.thm1_trials"),
         ("gp_verify", "thm2_trials", 0, "gp_verify.thm2_trials"),
         ("gp_verify", "psd_trials", -1, "gp_verify.psd_trials"),
+        ("training", "lr", float("nan"), "training.lr: must be finite"),
+        ("eval", "rcs_sigma", float("inf"), "eval.rcs_sigma: must be finite"),
+        ("training", "perturb", {"kappa": float("nan")}, "training.perturb.kappa: must be finite"),
+        ("training", "clamp", [float("-inf"), float("inf")], "training.clamp: must be finite"),
+        ("dataset", "seed", -1, "dataset.seed: must be >= 0"),
     ],
     ids=[
         "method", "epochs", "batch_size", "hidden", "clamp-reversed", "clamp-short", "clamp-long", "clamp-text",
         "toy-n", "decoy-n_train", "decoy-n_test", "lr", "eps_max", "alpha", "rcs_sigma", "grid-short", "grid-reversed",
-        "grid-text", "grid-resolution", "thm1-trials", "thm2-trials", "psd-trials",
+        "grid-text", "grid-resolution", "thm1-trials", "thm2-trials", "psd-trials", "lr-nan", "rcs_sigma-inf",
+        "kappa-nan", "clamp-inf", "dataset-seed",
     ],
 )
 def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, block, key, value, field):
@@ -112,6 +118,16 @@ def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, block, key, value
     command = "gen-data" if block == "dataset" else "train"
     assert run_cli(command, "--config", write_config(tmp_path, doc, "bad.json"), "--out", out) == 2
     assert f"config error: {field}" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2_naming_it(tmp_path, capsys):
+    gp = {"gp_verify": {"thm1_trials": 5, "thm2_trials": 2, "psd_trials": 2}}
+    out = str(tmp_path / "gp")
+    assert run_cli("gp-verify", "--config", write_config(tmp_path, dict(gp, seed=-1)), "--out", out) == 2
+    assert "config error: seed: must be >= 0" in capsys.readouterr().err
+    assert run_cli("gp-verify", "--config", write_config(tmp_path, gp), "--out", out, "--seed", "-3") == 2
+    assert "config error: --seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "gp" / "gp_verify.json").exists()
 
 
 def test_bad_sweep_entry_is_named_before_training(tmp_path, capsys):
